@@ -3,11 +3,11 @@ continuous ODE-driven length extrapolation, with a desk-scale byte-level
 transformer harness for train-short / test-long experiments."""
 
 from .autodiff import Tensor, backward, no_grad
-from .continuous import BasisCache, CacheSession, OdeNet, PositionPlan, XiForm
+from .continuous import BasisCache, CacheSession, OdeNet, XiForm
 from .harness import Corpus, EvalReport, TrainSettings, compare, evaluate, load_corpus, train
 from .model import ModelConfig, forward, log_scale_mult
 from .rotary import FrequencyBasis, apply_rotary, default_basis, pair_score
-from .scaling import AlphaProfile, LogBasis, alpha_codellama, alpha_pi, alpha_yarn, scale_basis
+from .scaling import alpha, alpha_codellama, alpha_pi, alpha_yarn, scale_basis
 
 __version__ = "0.1.0"
 
@@ -18,7 +18,6 @@ __all__ = [
     "BasisCache",
     "CacheSession",
     "OdeNet",
-    "PositionPlan",
     "XiForm",
     "Corpus",
     "EvalReport",
@@ -34,8 +33,7 @@ __all__ = [
     "apply_rotary",
     "default_basis",
     "pair_score",
-    "AlphaProfile",
-    "LogBasis",
+    "alpha",
     "alpha_codellama",
     "alpha_pi",
     "alpha_yarn",

@@ -33,10 +33,6 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
-def grad_enabled() -> bool:
-    return _GRAD_ENABLED
-
-
 def set_debug_checks(on: bool) -> None:
     """When on, every created tensor is validated to be finite."""
     global _DEBUG_CHECKS
@@ -84,40 +80,9 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}{flag})"
-
-    # Operator sugar; full set of operations lives at module level.
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, 1.0 / other)
-        raise TypeError("tensor division only supports scalar divisors")
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def as_tensor(x, dtype=None) -> Tensor:

@@ -39,7 +39,7 @@ from .harness import (
 )
 from .model import ModelConfig
 from .rotary import default_basis
-from .scaling import AlphaProfile, scale_basis
+from .scaling import alpha, scale_basis
 
 
 class InputError(ValueError):
@@ -134,6 +134,9 @@ def load_config_file(path, allow_runs: bool = False) -> dict:
 
 
 def split_config(cfg: dict) -> tuple[ModelConfig, TrainSettings]:
+    """Typed model config and train settings from a resolved config, after
+    checking every value, so bad input fails before any corpus load or
+    training."""
     try:
         model_cfg = ModelConfig(
             vocab=int(cfg["vocab"]),
@@ -166,6 +169,19 @@ def split_config(cfg: dict) -> tuple[ModelConfig, TrainSettings]:
             cache_factors=tuple(float(t) for t in cfg["cache_factors"]),
         )
         _ = settings.dtype
+        if settings.steps < 1:
+            raise ValueError(f"steps must be >= 1, got {settings.steps}")
+        if settings.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {settings.batch_size}")
+        factors = settings.cache_factors
+        ascending = all(b > a for a, b in zip(factors, factors[1:]))
+        if not factors or not factors[0] >= 1.0 or not ascending:
+            raise ValueError(f"cache_factors must be strictly ascending and >= 1, got {list(factors)}")
+        lens = cfg["eval_lens"]
+        if not isinstance(lens, list) or not all(
+            isinstance(n, int) and not isinstance(n, bool) and n >= 2 for n in lens
+        ):
+            raise ValueError(f"eval_lens must be a list of ints >= 2, got {lens!r}")
     except (TypeError, ValueError) as e:
         raise InputError(str(e)) from None
     return model_cfg, settings
@@ -226,6 +242,13 @@ def _load_run_corpus(cfg: dict):
         raise InputError(str(e)) from None
 
 
+def _load_checkpoint(path):
+    try:
+        return load_checkpoint(path)
+    except (FileNotFoundError, ValueError) as e:
+        raise InputError(str(e)) from None
+
+
 def write_loss_csv(run_dir: Path, trace) -> None:
     lines = ["step,loss,t_prime"]
     for rec in trace:
@@ -269,28 +292,10 @@ def write_report(run_dir: Path, report: EvalReport, cfg: dict) -> None:
 
 
 def format_table(report: EvalReport) -> str:
-    header = CSV_COLUMNS
-    rows = [
-        (
-            r.method,
-            str(r.train_len),
-            str(r.eval_len),
-            f"{r.eval_t:.6f}",
-            f"{r.attn_scale_mult:.6f}",
-            f"{r.ppl:.6f}",
-            f"{r.acc:.6f}",
-        )
-        for r in report.rows
-    ]
-    widths = [max(len(h), *(len(row[i]) for row in rows)) if rows else len(h)
-              for i, h in enumerate(header)]
-    out = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(header))]
-    for row in rows:
-        out.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
-    return "\n".join(out)
-
-
-CSV_COLUMNS = ("method", "train_len", "eval_len", "eval_t", "attn_scale_mult", "ppl", "acc")
+    """The lines of report.csv as left-aligned columns."""
+    rows = [line.split(",") for line in report.to_csv().splitlines()]
+    widths = [max(len(cell) for cell in column) for column in zip(*rows)]
+    return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)) for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -317,19 +322,14 @@ def cmd_eval(args) -> int:
     cfg = apply_overrides(load_config_file(args.config), args.set)
     model_cfg, settings = split_config(cfg)
     corpus = _load_run_corpus(cfg)
-    try:
-        params, extra = load_checkpoint(args.checkpoint)
-    except (FileNotFoundError, ValueError) as e:
-        raise InputError(str(e)) from None
+    params, extra = _load_checkpoint(args.checkpoint)
     check_compat(extra, cfg)
     run_dir = make_run_dir(cfg, args.out, "eval", model_cfg.method)
     write_resolved_config(run_dir, cfg)
     report = evaluate(params, model_cfg, settings, corpus, cfg["eval_lens"])
     write_report(run_dir, report, cfg)
     if model_cfg.method == "ode":
-        from .harness import _as_param_tensors
-
-        cache, _ = make_cache_session(_as_param_tensors(params), model_cfg, settings)
+        cache, _ = make_cache_session(params, model_cfg, settings)
         (run_dir / "cache.json").write_text(
             json.dumps(cache_to_json(cache), indent=2, sort_keys=True) + "\n"
         )
@@ -345,7 +345,10 @@ def cmd_basis(args) -> int:
     if d % 2 != 0 or d < 2:
         raise InputError(f"head dim must be even and >= 2, got {d}")
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    t_values = [float(t) for t in args.t.split(",") if t.strip()]
+    try:
+        t_values = [float(t) for t in args.t.split(",") if t.strip()]
+    except ValueError:
+        raise InputError(f"--t expects comma-separated numbers, got {args.t!r}") from None
     if not methods or not t_values:
         raise InputError("need at least one method and one t value")
     xi_form = _XI_FORMS.get(args.xi_form)
@@ -355,7 +358,7 @@ def cmd_basis(args) -> int:
     net = None
     if "ode" in methods:
         if args.checkpoint:
-            params, extra = load_checkpoint(args.checkpoint)
+            params, _ = _load_checkpoint(args.checkpoint)
             if "ode.w_up" not in params:
                 raise CompatError("checkpoint has no dynamics-network parameters")
             if params["ode.w_up"].shape[0] != d // 2:
@@ -364,20 +367,22 @@ def cmd_basis(args) -> int:
                 )
             net = OdeNet.from_params(d, params["ode.w_up"], params["ode.w_down"])
         else:
-            net = OdeNet(d, rng=np.random.default_rng(0))  # w_down = 0: pure drift
+            try:
+                net = OdeNet(d, rng=np.random.default_rng(0))  # w_down = 0: pure drift
+            except ValueError as e:
+                raise InputError(str(e)) from None
 
     base = default_basis(d)
     lines = ["method,t,i,theta_i"]
     for method in methods:
         for t in t_values:
-            if method == "ode":
-                basis = solve_basis(base, t, net, xi_form, args.steps_per_unit)
-            else:
-                try:
-                    profile = AlphaProfile(method, d)
-                    basis = scale_basis(base, profile(t))
-                except ValueError as e:
-                    raise InputError(str(e)) from None
+            try:
+                if method == "ode":
+                    basis = solve_basis(base, t, net, xi_form, args.steps_per_unit)
+                else:
+                    basis = scale_basis(base, alpha(method, t, d))
+            except ValueError as e:
+                raise InputError(str(e)) from None
             for i, theta_i in enumerate(basis.theta):
                 lines.append(f"{method},{t:.6f},{i},{theta_i:.12g}")
     text = "\n".join(lines) + "\n"
@@ -405,14 +410,13 @@ def cmd_compare(args) -> int:
         labels.append(label)
         params = None
         if run_doc.get("checkpoint"):
-            try:
-                params, extra = load_checkpoint(run_doc["checkpoint"])
-            except (FileNotFoundError, ValueError) as e:
-                raise InputError(str(e)) from None
+            params, extra = _load_checkpoint(run_doc["checkpoint"])
             check_compat(extra, merged)
         entries.append(CompareEntry(model_cfg, settings, params, label))
     if len(set(labels)) != len(labels):
         raise InputError(f"duplicate run labels: {labels}; set distinct 'label' keys")
+    if any("," in str(label) for label in labels):
+        raise InputError(f"run labels are report.csv fields and may not contain commas: {labels}")
 
     corpus = _load_run_corpus(cfg)
     run_dir = make_run_dir(cfg, args.out, "compare", "x".join(labels))

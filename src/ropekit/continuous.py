@@ -14,7 +14,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .rotary import FrequencyBasis
-from .scaling import LogBasis, _check_factor
+from .scaling import _check_factor
 
 
 class XiForm(enum.Enum):
@@ -85,8 +85,6 @@ class OdeNet:
 def _as_state(z, dtype=None) -> Tensor:
     if isinstance(z, Tensor):
         return z
-    if isinstance(z, LogBasis):
-        return ad.constant(z.z if dtype is None else z.z.astype(dtype))
     return ad.constant(np.asarray(z, dtype=dtype))
 
 
@@ -161,25 +159,6 @@ class PlanMode(enum.Enum):
     RANDOM_SAMPLED = "random"
 
 
-@dataclass(frozen=True)
-class PositionPlan:
-    """Position indices assigned to one training batch."""
-
-    positions: np.ndarray
-    mode: PlanMode
-    t_prime: float
-    rng_seed: int | None = None
-
-    def __post_init__(self):
-        pos = np.ascontiguousarray(np.asarray(self.positions, dtype=np.float64))
-        if pos.ndim != 1 or pos.size == 0:
-            raise ValueError("positions must be a non-empty vector")
-        if not np.all(np.diff(pos) > 0):
-            raise ValueError("positions must be strictly increasing")
-        pos.flags.writeable = False
-        object.__setattr__(self, "positions", pos)
-
-
 def position_plan(
     train_len: int,
     t_prime: float,
@@ -187,8 +166,9 @@ def position_plan(
     mode: PlanMode,
     rng: np.random.Generator | None = None,
     rng_seed: int | None = None,
-) -> PositionPlan:
-    """Assign train_len positions spanning up to t_prime * native_len.
+) -> np.ndarray:
+    """Assign train_len strictly increasing positions spanning up to
+    t_prime * native_len.
 
     NATURAL: 1..train_len. UNIFORM_SCALED: j*s for s = t'*native_len/train_len.
     RANDOM_SAMPLED: train_len distinct integers drawn without replacement
@@ -214,7 +194,7 @@ def position_plan(
         pos = np.sort(draw).astype(np.float64) + 1.0
     else:
         raise ValueError(f"unknown plan mode {mode}")
-    return PositionPlan(pos, mode, t_prime, rng_seed)
+    return pos
 
 
 @dataclass(frozen=True)
@@ -252,30 +232,6 @@ def build_cache(
     return BasisCache(native_len, tuple(t_ks), bases)
 
 
-def lookup(
-    cache: BasisCache,
-    seq_len: int,
-    solver: Callable[[float], FrequencyBasis] | None = None,
-) -> tuple[float, FrequencyBasis]:
-    """Basis for the smallest cached factor whose supported length covers
-    seq_len; beyond the cache, solve on demand at t = seq_len/native_len.
-
-    Returns (factor, basis). The cache itself is never mutated; use a
-    CacheSession to keep on-demand extensions around.
-    """
-    if seq_len < 1:
-        raise ValueError(f"seq_len must be >= 1, got {seq_len}")
-    for t, basis in zip(cache.factors, cache.bases):
-        if t * cache.native_len >= seq_len:
-            return t, basis
-    t = seq_len / cache.native_len
-    if solver is None:
-        raise ValueError(
-            f"length {seq_len} exceeds every cached factor and no solver was provided"
-        )
-    return t, solver(t)
-
-
 class CacheSession:
     """Lookup frontend holding session-local on-demand extensions."""
 
@@ -285,6 +241,9 @@ class CacheSession:
         self._extra: dict[float, FrequencyBasis] = {}
 
     def lookup(self, seq_len: int) -> tuple[float, FrequencyBasis]:
+        """(factor, basis) for the smallest cached factor whose supported
+        length covers seq_len; beyond the cache, solve on demand at
+        t = seq_len/native_len and keep the result in this session only."""
         if seq_len < 1:
             raise ValueError(f"seq_len must be >= 1, got {seq_len}")
         for t, basis in zip(self.cache.factors, self.cache.bases):
@@ -310,14 +269,3 @@ def cache_to_json(cache: BasisCache) -> dict:
             for t, basis in zip(cache.factors, cache.bases)
         ],
     }
-
-
-def cache_from_json(doc: dict) -> BasisCache:
-    head_dim = int(doc["head_dim"])
-    base = float(doc["base"])
-    factors = tuple(float(e["t"]) for e in doc["entries"])
-    bases = tuple(
-        FrequencyBasis(np.asarray(e["theta"], dtype=np.float64), head_dim, base)
-        for e in doc["entries"]
-    )
-    return BasisCache(int(doc["native_len"]), factors, bases)

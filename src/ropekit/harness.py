@@ -1,6 +1,8 @@
-"""Training and evaluation harness: byte corpus handling, the per-method
-training loop, and length-grouped perplexity/accuracy evaluation with
-baseline self-extension and the log attention-scaling trick."""
+"""Training and evaluation harness: byte corpus handling, each method's
+positions and basis at a given length (the one rule training and
+evaluation share), the training loop, and length-grouped
+perplexity/accuracy evaluation with baseline self-extension and the log
+attention-scaling trick."""
 
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from .continuous import (
 from .model import ModelConfig, forward, init_params, log_scale_mult
 from .optim import Adam
 from .rotary import FrequencyBasis, default_basis
-from .scaling import alpha_codellama, alpha_yarn, scale_basis
+from .scaling import alpha, scale_basis
 
 
 class NumericalAbort(RuntimeError):
@@ -142,21 +144,6 @@ class TrainResult:
     settings: TrainSettings
 
 
-def _static_train_inputs(cfg: ModelConfig, dtype) -> tuple[np.ndarray, FrequencyBasis] | None:
-    """(positions, basis) for methods whose inputs do not change per step."""
-    base = default_basis(cfg.d_head)
-    natural = np.arange(1, cfg.train_len + 1, dtype=np.float64)
-    if cfg.method == "rope":
-        return natural, base
-    if cfg.method == "pi":
-        return natural / cfg.t_fixed, base
-    if cfg.method == "yarn":
-        return natural, scale_basis(base, alpha_yarn(cfg.t_fixed, cfg.d_head))
-    if cfg.method == "codellama":
-        return natural, scale_basis(base, alpha_codellama(cfg.d_head))
-    return None
-
-
 def train(cfg: ModelConfig, settings: TrainSettings, corpus: Corpus) -> TrainResult:
     """Train one model from scratch. Every random draw comes from a single
     generator seeded by cfg.seed, so runs are bit-reproducible."""
@@ -172,7 +159,9 @@ def train(cfg: ModelConfig, settings: TrainSettings, corpus: Corpus) -> TrainRes
         params.update(net.params())
         z1 = np.log(default_basis(cfg.d_head).theta).astype(dtype)
 
-    static = _static_train_inputs(cfg, dtype)
+    static = None
+    if cfg.method in ("rope", "pi", "yarn", "codellama"):
+        static = method_inputs(cfg, cfg.train_len)[:2]
     opt = Adam(params, settings.lr, settings.beta1, settings.beta2, settings.eps,
                grad_clip=settings.grad_clip)
 
@@ -184,15 +173,14 @@ def train(cfg: ModelConfig, settings: TrainSettings, corpus: Corpus) -> TrainRes
             positions, theta = static
         elif cfg.method == "randompos":
             seed = int(rng.integers(0, 2**63))
-            plan = position_plan(cfg.train_len, cfg.t_train, cfg.train_len,
-                                 PlanMode.RANDOM_SAMPLED, rng_seed=seed)
-            positions, theta = plan.positions, default_basis(cfg.d_head)
+            positions = position_plan(cfg.train_len, cfg.t_train, cfg.train_len,
+                                      PlanMode.RANDOM_SAMPLED, rng_seed=seed)
+            theta = default_basis(cfg.d_head)
         else:  # ode
             t_prime = sample_train_factor(cfg.t_train, rng)
             seed = int(rng.integers(0, 2**63))
-            plan = position_plan(cfg.train_len, t_prime, cfg.train_len,
-                                 settings.position_mode, rng_seed=seed)
-            positions = plan.positions
+            positions = position_plan(cfg.train_len, t_prime, cfg.train_len,
+                                      settings.position_mode, rng_seed=seed)
             zt = solve(z1, t_prime, net, settings.xi_form, settings.steps_per_unit)
             theta = ad.exp(zt)
 
@@ -226,6 +214,36 @@ def self_extension_factor(t_fixed: float, base_len: int, eval_len: int) -> float
     if t_fixed < 1.0:
         raise ValueError(f"t_fixed must be >= 1, got {t_fixed}")
     return max(float(t_fixed), eval_len / base_len)
+
+
+def method_inputs(
+    cfg: ModelConfig, length: int, session: CacheSession | None = None
+) -> tuple[np.ndarray, FrequencyBasis, float]:
+    """(positions, basis, t) that cfg.method feeds the model at a sequence
+    length. Training uses it at cfg.train_len for the methods whose inputs
+    are fixed; evaluation uses it at every length.
+
+    rope and randompos use natural positions and the stock basis. pi and
+    yarn self-extend their factor past t_fixed*train_len: pi divides the
+    positions by it (its 1/t profile moved onto the indices), yarn scales
+    the basis by its geometric profile. codellama's profile does not depend
+    on t. ode looks its basis up in the session's cache.
+    """
+    positions = np.arange(1, length + 1, dtype=np.float64)
+    if cfg.method == "ode":
+        t, basis = session.lookup(length)
+        return positions, basis, t
+    basis = default_basis(cfg.d_head)
+    if cfg.method in ("rope", "randompos"):
+        return positions, basis, 1.0
+    if cfg.method == "codellama":
+        return positions, scale_basis(basis, alpha("codellama", 1.0, cfg.d_head)), 1.0
+    t = self_extension_factor(cfg.t_fixed, cfg.train_len, length)
+    if cfg.method == "pi":
+        return positions / t, basis, t
+    if cfg.method == "yarn":
+        return positions, scale_basis(basis, alpha("yarn", t, cfg.d_head)), t
+    raise ValueError(f"unknown method {cfg.method!r}")
 
 
 @dataclass(frozen=True)
@@ -318,32 +336,8 @@ def score_windows(
     return nll_sum, correct, count
 
 
-def _eval_inputs(
-    cfg: ModelConfig,
-    eval_len: int,
-    session: CacheSession | None,
-) -> tuple[np.ndarray, FrequencyBasis, float]:
-    """Per-method (positions, basis, eval_t) for one evaluation length."""
-    base = default_basis(cfg.d_head)
-    natural = np.arange(1, eval_len + 1, dtype=np.float64)
-    if cfg.method in ("rope", "randompos"):
-        return natural, base, 1.0
-    if cfg.method == "pi":
-        t = self_extension_factor(cfg.t_fixed, cfg.train_len, eval_len)
-        return natural / t, base, t
-    if cfg.method == "yarn":
-        t = self_extension_factor(cfg.t_fixed, cfg.train_len, eval_len)
-        return natural, scale_basis(base, alpha_yarn(t, cfg.d_head)), t
-    if cfg.method == "codellama":
-        return natural, scale_basis(base, alpha_codellama(cfg.d_head)), 1.0
-    if cfg.method == "ode":
-        t, basis = session.lookup(eval_len)
-        return natural, basis, t
-    raise ValueError(f"unknown method {cfg.method!r}")
-
-
 def make_cache_session(
-    params: dict[str, Tensor], cfg: ModelConfig, settings: TrainSettings
+    params: dict, cfg: ModelConfig, settings: TrainSettings
 ) -> tuple[BasisCache, CacheSession]:
     """Basis cache for an ode-method checkpoint plus a lookup session that
     can solve on demand past the cached factors."""
@@ -384,7 +378,7 @@ def evaluate(
             raise ValueError(f"eval_len must be >= 2, got {eval_len}")
         try:
             windows = evaluation_windows(corpus, eval_len)
-            positions, basis, eval_t = _eval_inputs(cfg, eval_len, session)
+            positions, basis, eval_t = method_inputs(cfg, eval_len, session)
             mult = log_scale_mult(cfg.train_len, eval_len)
             nll, correct, count = score_windows(
                 params, cfg, windows, positions, basis, mult, settings.batch_size

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .rotary import FrequencyBasis, rotate_sequences
+from .rotary import rotate_sequences, theta_tensor
 
 RMS_EPS = 1e-6
 
@@ -138,12 +138,7 @@ def forward(
     if s > 1 and not np.all(np.diff(positions) > 0):
         raise ValueError("positions must be strictly increasing")
 
-    if isinstance(basis, FrequencyBasis):
-        theta = ad.constant(basis.theta.astype(dtype))
-    elif isinstance(basis, Tensor):
-        theta = basis
-    else:
-        theta = ad.constant(np.asarray(basis, dtype=dtype))
+    theta = theta_tensor(basis, dtype)
 
     h_count, d_head = cfg.n_heads, cfg.d_head
     score_scale = float(attn_scale_mult) / math.sqrt(d_head)

@@ -2,51 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .autodiff import Tensor
-
-
-@dataclass
-class AdamState:
-    step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
-
-
-def adam_step(
-    params: dict[str, Tensor],
-    grads: dict[str, np.ndarray],
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> tuple[dict[str, Tensor], AdamState]:
-    """One Adam update. Parameters are updated in place; the (mutated)
-    params and state are returned for chaining."""
-    state.step += 1
-    t = state.step
-    c1 = 1.0 - beta1**t
-    c2 = 1.0 - beta2**t
-    for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.shape:
-            raise ValueError(f"grad shape {g.shape} != param shape {p.shape} for {name}")
-        m = state.m.get(name)
-        if m is None:
-            m = state.m[name] = np.zeros_like(p.data)
-        v = state.v.get(name)
-        if v is None:
-            v = state.v[name] = np.zeros_like(p.data)
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
-    return params, state
 
 
 def clip_grad_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
@@ -64,7 +22,8 @@ def clip_grad_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
 
 
 class Adam:
-    """Convenience wrapper around adam_step reading .grad off the params."""
+    """Adam over a dict of parameters, reading .grad off each one (a missing
+    grad counts as zero) and updating .data in place."""
 
     def __init__(self, params: dict[str, Tensor], lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8, grad_clip: float = 0.0):
@@ -74,14 +33,30 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.grad_clip = grad_clip
-        self.state = AdamState()
+        self.step_count = 0
+        self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
+        self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
 
     def step(self) -> float:
+        """One clipped, bias-corrected update. Returns the pre-clip global
+        gradient norm."""
         grads = {}
         for name, p in self.params.items():
             grads[name] = p.grad if p.grad is not None else np.zeros_like(p.data)
         norm = clip_grad_norm(grads, self.grad_clip)
-        adam_step(self.params, grads, self.state, self.lr, self.beta1, self.beta2, self.eps)
+        self.step_count += 1
+        c1 = 1.0 - self.beta1**self.step_count
+        c2 = 1.0 - self.beta2**self.step_count
+        for name, p in self.params.items():
+            g = grads[name]
+            if g.shape != p.shape:
+                raise ValueError(f"grad shape {g.shape} != param shape {p.shape} for {name}")
+            m, v = self.m[name], self.v[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
+            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
         return norm
 
     def zero_grad(self) -> None:

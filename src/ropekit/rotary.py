@@ -49,7 +49,9 @@ def default_basis(head_dim: int, base: float = 10000.0) -> FrequencyBasis:
     return FrequencyBasis(base ** (-2.0 * i / head_dim), head_dim, base)
 
 
-def _theta_tensor(basis, dtype) -> Tensor:
+def theta_tensor(basis, dtype) -> Tensor:
+    """Frequencies as a graph tensor: a Tensor passes through unchanged, a
+    FrequencyBasis or raw theta vector becomes a constant of the given dtype."""
     if isinstance(basis, Tensor):
         return basis
     if isinstance(basis, FrequencyBasis):
@@ -96,7 +98,7 @@ def apply_rotary(x, m: float, basis):
         raise ValueError(f"apply_rotary expects a vector, got shape {xt.shape}")
     if d % 2 != 0:
         raise ValueError(f"vector length must be even, got {d}")
-    theta = _theta_tensor(basis, xt.dtype)
+    theta = theta_tensor(basis, xt.dtype)
     out = ad.reshape(rotate_sequences(ad.reshape(xt, (1, d)), [m], theta), (d,))
     return out if is_tensor else out.data
 

@@ -1,36 +1,13 @@
 """Discrete position-embedding scaling: the per-dimension basis multiplier
-family (constant, geometric, fixed base retuning), index scaling, and the
-progressive log-basis chain connecting discrete scale factors."""
+family (identity, constant 1/t, geometric, fixed base retuning), the one
+dispatch from a method name to its multiplier, and the progressive chain of
+log bases connecting discrete scale factors."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .rotary import FrequencyBasis
-
-
-@dataclass(frozen=True)
-class LogBasis:
-    """Natural log of a frequency basis; the state evolved by the basis ODE."""
-
-    z: np.ndarray
-
-    def __post_init__(self):
-        z = np.ascontiguousarray(np.asarray(self.z, dtype=np.float64))
-        if z.ndim != 1:
-            raise ValueError(f"log basis must be a vector, got shape {z.shape}")
-        z.flags.writeable = False
-        object.__setattr__(self, "z", z)
-
-
-def log_basis(basis: FrequencyBasis) -> LogBasis:
-    return LogBasis(np.log(basis.theta))
-
-
-def basis_from_log(z: LogBasis, head_dim: int, base: float = 10000.0) -> FrequencyBasis:
-    return FrequencyBasis(np.exp(z.z), head_dim, base)
 
 
 def _check_factor(t: float) -> float:
@@ -74,48 +51,31 @@ def scale_basis(basis: FrequencyBasis, alpha: np.ndarray) -> FrequencyBasis:
     return FrequencyBasis(basis.theta * alpha, basis.head_dim, basis.base)
 
 
-def scale_positions(positions, t: float) -> np.ndarray:
-    """Index scaling m -> m/t."""
-    t = _check_factor(t)
-    return np.asarray(positions, dtype=np.float64) / t
-
-
-def chain_step(z_prev: LogBasis, alpha_prev: np.ndarray, alpha_next: np.ndarray) -> LogBasis:
-    """One step of the progressive chain: z_next = z_prev + log(a_next/a_prev)."""
+def chain_step(z_prev: np.ndarray, alpha_prev: np.ndarray, alpha_next: np.ndarray) -> np.ndarray:
+    """One step of the progressive chain over log bases:
+    z_next = z_prev + log(a_next/a_prev)."""
+    z_prev = np.asarray(z_prev, dtype=np.float64)
     alpha_prev = np.asarray(alpha_prev, dtype=np.float64)
     alpha_next = np.asarray(alpha_next, dtype=np.float64)
-    if alpha_prev.shape != z_prev.z.shape or alpha_next.shape != z_prev.z.shape:
+    if alpha_prev.shape != z_prev.shape or alpha_next.shape != z_prev.shape:
         raise ValueError("alpha shapes must match the log basis")
     if not (np.all(alpha_prev > 0) and np.all(alpha_next > 0)):
         raise ValueError("alpha entries must be positive")
-    return LogBasis(z_prev.z + np.log(alpha_next / alpha_prev))
+    return z_prev + np.log(alpha_next / alpha_prev)
 
 
 PROFILE_METHODS = ("identity", "pi", "yarn", "codellama")
 
 
-@dataclass(frozen=True)
-class AlphaProfile:
-    """A named basis-multiplier profile evaluated at scale factor t."""
-
-    method: str
-    head_dim: int
-
-    def __post_init__(self):
-        if self.method not in PROFILE_METHODS:
-            raise ValueError(f"unknown profile {self.method!r}; pick from {PROFILE_METHODS}")
-
-    @property
-    def t_dependent(self) -> bool:
-        return self.method in ("pi", "yarn")
-
-    def __call__(self, t: float) -> np.ndarray:
-        if self.method == "pi":
-            return alpha_pi(t, self.head_dim)
-        if self.method == "yarn":
-            return alpha_yarn(t, self.head_dim)
-        if self.method == "codellama":
-            _check_factor(t)
-            return alpha_codellama(self.head_dim)
-        _check_factor(t)
-        return np.ones(self.head_dim // 2, dtype=np.float64)
+def alpha(method: str, t: float, head_dim: int) -> np.ndarray:
+    """Basis multiplier of a named discrete method at scale factor t."""
+    if method == "pi":
+        return alpha_pi(t, head_dim)
+    if method == "yarn":
+        return alpha_yarn(t, head_dim)
+    if method not in PROFILE_METHODS:
+        raise ValueError(f"unknown profile {method!r}; pick from {PROFILE_METHODS}")
+    _check_factor(t)
+    if method == "codellama":
+        return alpha_codellama(head_dim)
+    return np.ones(head_dim // 2, dtype=np.float64)

@@ -61,6 +61,24 @@ def test_train_unknown_key_exits_2(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("steps", 0),
+    ("batch_size", 0),
+    ("eval_lens", [128, 1]),
+    ("eval_lens", [64.5]),
+    ("eval_lens", "128"),
+    ("cache_factors", [2.0, 1.0]),
+    ("cache_factors", [0.5, 1.0]),
+], ids=["steps", "batch_size", "eval_len_1", "eval_len_float", "eval_lens_str",
+        "cache_descending", "cache_below_1"])
+def test_bad_config_value_exits_2_before_corpus_load(tmp_path, capsys, key, value):
+    # the corpus is absent, so only a check made before loading it can name the key
+    cfg = write_config(tmp_path, {"corpus": str(tmp_path / "absent.bin"), key: value})
+    assert main(["train", "-c", str(cfg), "-o", str(tmp_path / "runs")]) == 2
+    assert f"error: {key} must" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_train_writes_outputs(tmp_path, corpus_file):
     cfg = write_config(tmp_path, tiny_config(corpus_file))
     out = tmp_path / "runs"
@@ -238,6 +256,18 @@ def test_basis_odd_dim_exits_2(tmp_path, capsys):
     assert main(["basis", "-d", "5", "--methods", "pi", "--t", "1"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["-d", "8", "--methods", "ode", "--checkpoint", "{tmp}/absent"],
+    ["-d", "8", "--t", "abc"],
+    ["-d", "8", "--methods", "ode", "--t", "0.5"],
+    ["-d", "2", "--methods", "ode", "--t", "1"],
+], ids=["missing_checkpoint", "t_not_a_number", "ode_t_below_1", "ode_head_dim_2"])
+def test_basis_bad_input_exits_2(tmp_path, capsys, argv):
+    assert main(["basis", *(a.format(tmp=tmp_path) for a in argv)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_basis_stdout_when_no_out(capsys):
     assert main(["basis", "-d", "4", "--methods", "identity", "--t", "1"]) == 0
     out = capsys.readouterr().out
@@ -277,6 +307,14 @@ def test_compare_duplicate_labels_exit_2(tmp_path, corpus_file):
     doc["runs"] = [{"method": "rope"}, {"method": "rope"}]
     cfg = write_config(tmp_path, doc)
     assert main(["compare", "-c", str(cfg), "-o", str(tmp_path / "x")]) == 2
+
+
+def test_compare_label_with_comma_exits_2(tmp_path, corpus_file, capsys):
+    doc = tiny_config(corpus_file)
+    doc["runs"] = [{"method": "rope", "label": "rope,short"}]
+    cfg = write_config(tmp_path, doc)
+    assert main(["compare", "-c", str(cfg), "-o", str(tmp_path / "x")]) == 2
+    assert "may not contain commas" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,10 +16,8 @@ from ropekit.continuous import (
     PlanMode,
     XiForm,
     build_cache,
-    cache_from_json,
     cache_to_json,
     dynamics,
-    lookup,
     position_plan,
     sample_train_factor,
     solve,
@@ -245,24 +245,22 @@ def test_sample_factor_reproducible():
 
 
 def test_plan_natural():
-    plan = position_plan(8, 1.0, 8, PlanMode.NATURAL)
-    assert np.array_equal(plan.positions, np.arange(1.0, 9.0))
+    assert np.array_equal(position_plan(8, 1.0, 8, PlanMode.NATURAL), np.arange(1.0, 9.0))
 
 
 def test_plan_uniform_example():
-    plan = position_plan(4, 2.0, 4, PlanMode.UNIFORM_SCALED)
-    assert np.array_equal(plan.positions, [2.0, 4.0, 6.0, 8.0])
+    assert np.array_equal(position_plan(4, 2.0, 4, PlanMode.UNIFORM_SCALED), [2.0, 4.0, 6.0, 8.0])
 
 
 def test_plan_uniform_degenerate_matches_natural():
     a = position_plan(8, 1.0, 8, PlanMode.NATURAL)
     b = position_plan(8, 1.0, 8, PlanMode.UNIFORM_SCALED)
-    assert np.array_equal(a.positions, b.positions)
+    assert np.array_equal(a, b)
 
 
 def test_plan_random_degenerate_is_natural():
     plan = position_plan(16, 1.0, 16, PlanMode.RANDOM_SAMPLED, np.random.default_rng(0))
-    assert np.array_equal(plan.positions, np.arange(1.0, 17.0))
+    assert np.array_equal(plan, np.arange(1.0, 17.0))
 
 
 @settings(max_examples=60, deadline=None)
@@ -274,8 +272,7 @@ def test_plan_random_degenerate_is_natural():
 )
 def test_plan_properties_all_modes(seed, train_len, t_prime, mode):
     native = train_len
-    plan = position_plan(train_len, t_prime, native, mode, np.random.default_rng(seed))
-    pos = plan.positions
+    pos = position_plan(train_len, t_prime, native, mode, np.random.default_rng(seed))
     assert pos.shape == (train_len,)
     assert np.all(np.diff(pos) > 0)  # strictly increasing => distinct
     assert pos[0] >= 1.0
@@ -291,11 +288,12 @@ def test_plan_range_too_small():
         position_plan(10, 1.0, 8, PlanMode.RANDOM_SAMPLED, np.random.default_rng(0))
 
 
-def test_plan_seed_recorded_and_reproducible():
+def test_plan_seed_reproducible():
     a = position_plan(8, 4.0, 8, PlanMode.RANDOM_SAMPLED, rng_seed=77)
     b = position_plan(8, 4.0, 8, PlanMode.RANDOM_SAMPLED, rng_seed=77)
-    assert a.rng_seed == 77
-    assert np.array_equal(a.positions, b.positions)
+    assert np.array_equal(a, b)
+    assert np.array_equal(a, position_plan(8, 4.0, 8, PlanMode.RANDOM_SAMPLED,
+                                           np.random.default_rng(77)))
 
 
 # ---------------------------------------------------------------------------
@@ -329,11 +327,12 @@ def test_lookup_exact_fit_and_upper_bound():
     base = default_basis(8)
     net = _zero_net(8)
     cache = build_cache(net, XiForm.LOG_DERIVATIVE, [1.0, 2.0, 4.0, 8.0], base, 128)
-    t, basis = lookup(cache, 128)
+    session = CacheSession(cache)
+    t, basis = session.lookup(128)
     assert t == 1.0 and np.array_equal(basis.theta, cache.bases[0].theta)
-    t, basis = lookup(cache, 300)  # 2*128 < 300 <= 4*128
+    t, basis = session.lookup(300)  # 2*128 < 300 <= 4*128
     assert t == 4.0 and np.array_equal(basis.theta, cache.bases[2].theta)
-    t, _ = lookup(cache, 1024)
+    t, _ = session.lookup(1024)
     assert t == 8.0
 
 
@@ -360,8 +359,6 @@ def test_lookup_without_solver_raises_beyond_cache():
     base = default_basis(8)
     cache = build_cache(_zero_net(8), XiForm.LOG_DERIVATIVE, [1.0], base, 64)
     with pytest.raises(ValueError):
-        lookup(cache, 65)
-    with pytest.raises(ValueError):
         CacheSession(cache).lookup(65)
 
 
@@ -379,9 +376,8 @@ def test_lookup_is_conservative(seq_len):
 def test_cache_json_roundtrip():
     base = default_basis(8)
     cache = build_cache(_zero_net(8), XiForm.LOG_DERIVATIVE, [1.0, 2.0], base, 32)
-    doc = cache_to_json(cache)
-    back = cache_from_json(doc)
-    assert back.native_len == 32
-    assert back.factors == cache.factors
-    for a, b in zip(back.bases, cache.bases):
-        assert np.array_equal(a.theta, b.theta)
+    doc = json.loads(json.dumps(cache_to_json(cache)))
+    assert doc["native_len"] == 32 and doc["head_dim"] == 8
+    assert [e["t"] for e in doc["entries"]] == list(cache.factors)
+    for entry, basis in zip(doc["entries"], cache.bases):
+        assert np.array_equal(entry["theta"], basis.theta)

@@ -17,6 +17,7 @@ from ropekit.harness import (
     evaluation_windows,
     extrapolation_breakpoints,
     load_corpus,
+    method_inputs,
     sample_train_batch,
     score_windows,
     self_extension_factor,
@@ -151,7 +152,7 @@ def test_ode_with_unit_factor_degenerates_to_plain_rotary(text_corpus):
     result = train(cfg, tiny_settings(), text_corpus)
     assert all(r.t_prime == 1.0 for r in result.trace)
     plan = position_plan(32, 1.0, 32, PlanMode.RANDOM_SAMPLED, np.random.default_rng(0))
-    assert np.array_equal(plan.positions, np.arange(1.0, 33.0))
+    assert np.array_equal(plan, np.arange(1.0, 33.0))
     net = OdeNet(cfg.d_head, rng=np.random.default_rng(0))
     z = np.log(default_basis(cfg.d_head).theta)
     assert np.array_equal(solve(z, 1.0, net).data, z)
@@ -225,6 +226,38 @@ def test_self_extension_factor_rule():
     factors = [self_extension_factor(4.0, 128, n) for n in lens]
     assert factors == sorted(factors)
     assert all(f == 4.0 for n, f in zip(lens, factors) if n <= 4.0 * 128)
+
+
+def test_method_inputs_pi_scales_indices():
+    cfg = tiny_cfg(method="pi", t_fixed=2.0)
+    positions, basis, t = method_inputs(cfg, 32)
+    assert t == 2.0 and np.array_equal(positions, np.arange(1.0, 33.0) / 2.0)
+    positions, basis, t = method_inputs(cfg, 128)  # past the trained extension 2*32
+    assert t == 4.0 and np.array_equal(positions, np.arange(1.0, 129.0) / 4.0)
+    assert np.array_equal(basis.theta, default_basis(cfg.d_head).theta)
+
+
+@pytest.mark.parametrize("method", ["rope", "pi", "yarn", "codellama"])
+def test_train_feeds_forward_what_evaluate_feeds_at_train_len(text_corpus, monkeypatch, method):
+    import ropekit.harness as hmod
+
+    real = hmod.forward
+    calls = []
+
+    def recording(params, cfg, tokens, positions, basis, attn_scale_mult=1.0):
+        calls.append((np.array(positions), np.array(basis.theta)))
+        return real(params, cfg, tokens, positions, basis, attn_scale_mult)
+
+    monkeypatch.setattr(hmod, "forward", recording)
+    cfg = tiny_cfg(method=method, t_fixed=2.0)
+    settings = tiny_settings(steps=1)
+    result = train(cfg, settings, text_corpus)
+    evaluate(result.params, cfg, settings, text_corpus, [cfg.train_len])
+    (train_pos, train_theta), *eval_calls = calls
+    assert eval_calls
+    for eval_pos, eval_theta in eval_calls:
+        assert np.array_equal(train_pos, eval_pos)
+        assert np.array_equal(train_theta, eval_theta)
 
 
 def test_evaluate_row_fields_per_method(text_corpus):

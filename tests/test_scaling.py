@@ -7,16 +7,12 @@ from helpers import max_rel_err, rotation_matrix
 
 from ropekit.rotary import FrequencyBasis, apply_rotary, default_basis
 from ropekit.scaling import (
-    AlphaProfile,
-    LogBasis,
+    alpha,
     alpha_codellama,
     alpha_pi,
     alpha_yarn,
-    basis_from_log,
     chain_step,
-    log_basis,
     scale_basis,
-    scale_positions,
 )
 
 
@@ -74,15 +70,19 @@ def test_alpha_codellama_equals_retuned_base():
         assert max_rel_err(scaled.theta, retuned.theta) < 1e-12
 
 
-def test_profile_wrapper():
-    assert np.array_equal(AlphaProfile("pi", 8)(1.0), np.ones(4))
-    assert np.array_equal(AlphaProfile("yarn", 8)(1.0), np.ones(4))
-    cl = AlphaProfile("codellama", 8)
-    assert np.array_equal(cl(1.0), cl(16.0))  # t-independent
-    assert not cl.t_dependent
-    assert np.array_equal(AlphaProfile("identity", 8)(5.0), np.ones(4))
+def test_alpha_dispatch():
+    assert np.array_equal(alpha("pi", 1.0, 8), np.ones(4))
+    assert np.array_equal(alpha("yarn", 1.0, 8), np.ones(4))
+    assert np.array_equal(alpha("pi", 3.0, 8), alpha_pi(3.0, 8))
+    assert np.array_equal(alpha("yarn", 3.0, 8), alpha_yarn(3.0, 8))
+    assert np.array_equal(alpha("codellama", 1.0, 8), alpha("codellama", 16.0, 8))  # t-independent
+    assert np.array_equal(alpha("codellama", 2.0, 8), alpha_codellama(8))
+    assert np.array_equal(alpha("identity", 5.0, 8), np.ones(4))
     with pytest.raises(ValueError):
-        AlphaProfile("ntk", 8)
+        alpha("ntk", 2.0, 8)
+    for method in ("identity", "pi", "yarn", "codellama"):
+        with pytest.raises(ValueError):
+            alpha(method, 0.5, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -111,19 +111,13 @@ def test_scale_basis_rejects_bad_alpha():
         scale_basis(b, np.ones(3))
 
 
-def test_scale_positions():
-    pos = np.arange(1.0, 9.0)
-    assert np.array_equal(scale_positions(pos, 1.0), pos)
-    assert np.array_equal(scale_positions(pos, 4.0), pos / 4.0)
-
-
 def test_scale_positions_equals_scaled_basis_rotation():
     # f(x, m/t, theta) == f(x, m, theta/t), checked against the dense oracle
     r = np.random.default_rng(0)
     d, t, m = 8, 4.0, 13.0
     basis = default_basis(d)
     x = r.normal(size=d)
-    a = apply_rotary(x, float(scale_positions([m], t)[0]), basis)
+    a = apply_rotary(x, m / t, basis)
     shrunk = scale_basis(basis, alpha_pi(t, d))
     b = apply_rotary(x, m, shrunk)
     oracle = rotation_matrix(shrunk.theta, m) @ x
@@ -136,36 +130,32 @@ def test_scale_positions_equals_scaled_basis_rotation():
 
 
 def test_chain_step_identity():
-    z = log_basis(default_basis(8))
-    alpha = alpha_yarn(2.0, 8)
-    out = chain_step(z, alpha, alpha)
-    assert np.array_equal(out.z, z.z)
+    z = np.log(default_basis(8).theta)
+    a = alpha_yarn(2.0, 8)
+    assert np.array_equal(chain_step(z, a, a), z)
 
 
 def test_chain_telescopes_to_direct_form():
     d = 8
-    z1 = log_basis(default_basis(d))
+    z1 = np.log(default_basis(d).theta)
     a1 = np.ones(d // 2)
     a2 = alpha_yarn(2.0, d)
     a4 = alpha_yarn(4.0, d)
     chained = chain_step(chain_step(z1, a1, a2), a2, a4)
-    direct = LogBasis(z1.z + np.log(a4))
-    assert max_rel_err(chained.z, direct.z, floor=1e-12) < 1e-12
+    direct = z1 + np.log(a4)
+    assert max_rel_err(chained, direct, floor=1e-12) < 1e-12
 
 
 def test_chain_pi_shifts_by_log_t():
     d = 6
-    z1 = log_basis(default_basis(d))
+    z1 = np.log(default_basis(d).theta)
     out = chain_step(z1, np.ones(d // 2), alpha_pi(3.0, d))
-    assert np.allclose(out.z, z1.z - np.log(3.0), rtol=1e-14)
+    assert np.allclose(out, z1 - np.log(3.0), rtol=1e-14)
 
 
 def test_chain_rejects_nonpositive():
-    z = log_basis(default_basis(4))
+    z = np.log(default_basis(4).theta)
     with pytest.raises(ValueError):
         chain_step(z, np.array([1.0, -1.0]), np.ones(2))
-
-
-def test_log_basis_roundtrip():
-    b = default_basis(16)
-    assert max_rel_err(basis_from_log(log_basis(b), 16).theta, b.theta) < 1e-15
+    with pytest.raises(ValueError):
+        chain_step(z, np.ones(3), np.ones(3))
