@@ -6,6 +6,9 @@ precision modes are supported (float32 for training, float64 for
 verification) and are kept strictly separate: mixing dtypes in one op is an
 error. Implicit broadcasting is limited to scalar-with-tensor and
 equal-shape operands; everything else is an explicit op (reshape, expand).
+
+Each job is one op and one tape node: causal_softmax scales, masks and
+normalizes the attention scores in one pass with one hand-written VJP.
 """
 
 from __future__ import annotations
@@ -108,16 +111,10 @@ _FLOWS: dict[int, np.ndarray] | None = None
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
-    # Inside backward(): route into the per-pass flow map so a repeated
-    # backward never re-propagates stale intermediate gradients.
-    # Stored arrays are never mutated in place, so no defensive copy needed.
-    if _FLOWS is not None:
-        cur = _FLOWS.get(id(t))
-        _FLOWS[id(t)] = g if cur is None else cur + g
-        return
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+    # Closures run only inside backward(), which collects their flows per pass,
+    # so a repeated backward never re-propagates stale intermediate gradients.
+    cur = _FLOWS.get(id(t))
+    _FLOWS[id(t)] = g if cur is None else cur + g
 
 
 def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -127,17 +124,9 @@ def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return np.asarray(g.sum(dtype=g.dtype)).reshape(shape)
 
 
-def _check_binary(a: Tensor, b: Tensor) -> None:
+def _check_dtypes(a: Tensor, b: Tensor) -> None:
     if a.data.dtype != b.data.dtype:
-        raise TypeError(
-            f"dtype mismatch: {a.data.dtype.name} vs {b.data.dtype.name}"
-        )
-    if a.shape == b.shape or a.size == 1 or b.size == 1:
-        return
-    raise ValueError(
-        f"incompatible shapes {a.shape} and {b.shape}: only scalar-with-tensor "
-        "and equal-shape broadcasting is supported"
-    )
+        raise TypeError(f"dtype mismatch: {a.data.dtype.name} vs {b.data.dtype.name}")
 
 
 def _coerce_pair(a, b) -> tuple[Tensor, Tensor]:
@@ -148,7 +137,12 @@ def _coerce_pair(a, b) -> tuple[Tensor, Tensor]:
         a = constant(a, dtype=b.data.dtype)
     else:
         a, b = as_tensor(a), as_tensor(b)
-    _check_binary(a, b)
+    _check_dtypes(a, b)
+    if a.shape != b.shape and a.size != 1 and b.size != 1:
+        raise ValueError(
+            f"incompatible shapes {a.shape} and {b.shape}: only scalar-with-tensor "
+            "and equal-shape broadcasting is supported"
+        )
     return a, b
 
 
@@ -164,7 +158,6 @@ def backward(root: Tensor) -> None:
         return
     order = _toposort(root)
     flows: dict[int, np.ndarray] = {id(root): np.ones_like(root.data)}
-    prev = _FLOWS
     _FLOWS = flows
     try:
         for node in reversed(order):
@@ -172,13 +165,13 @@ def backward(root: Tensor) -> None:
             if g is not None and node._backward is not None:
                 node._backward(g)
     finally:
-        _FLOWS = prev
+        _FLOWS = None
     for node in order:
         g = flows.get(id(node))
         if g is not None:
-            if node.grad is None:
-                node.grad = np.zeros_like(node.data)
-            node.grad += g
+            # A flow may be shared (add passes one array to both parents) and
+            # optimisers scale .grad in place, so a fresh grad is a copy.
+            node.grad = g.copy() if node.grad is None else node.grad + g
 
 
 def _toposort(root: Tensor) -> list[Tensor]:
@@ -277,18 +270,6 @@ def exp(x) -> Tensor:
     return out
 
 
-def log(x) -> Tensor:
-    x = as_tensor(x)
-    out = _node(np.log(x.data), (x,))
-    if out.requires_grad:
-
-        def bw(g):
-            _accum(x, g / x.data)
-
-        out._backward = bw
-    return out
-
-
 def cos(x) -> Tensor:
     x = as_tensor(x)
     out = _node(np.cos(x.data), (x,))
@@ -314,26 +295,10 @@ def sin(x) -> Tensor:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # Stable in both tails.
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
-def sigmoid(x) -> Tensor:
-    x = as_tensor(x)
-    s = _sigmoid(x.data)
-    out = _node(s, (x,))
-    if out.requires_grad:
-
-        def bw(g):
-            _accum(x, g * s * (1.0 - s))
-
-        out._backward = bw
-    return out
+    # Stable in both tails: exp only ever sees -|z|.
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 def silu(x) -> Tensor:
@@ -371,10 +336,7 @@ def powf(x, p: float) -> Tensor:
 def matmul(a, b) -> Tensor:
     """Matrix product; operands of equal rank >= 2 with equal leading dims."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.data.dtype != b.data.dtype:
-        raise TypeError(
-            f"dtype mismatch: {a.data.dtype.name} vs {b.data.dtype.name}"
-        )
+    _check_dtypes(a, b)
     if a.ndim < 2 or b.ndim < 2 or a.ndim != b.ndim:
         raise ValueError(f"matmul ranks must match and be >= 2, got {a.shape} x {b.shape}")
     if a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
@@ -441,30 +403,25 @@ def expand(x, shape: Sequence[int]) -> Tensor:
     return out
 
 
+def _sum(x: Tensor, total: np.ndarray) -> Tensor:
+    out = _node(total, (x,))
+    if out.requires_grad:
+
+        def bw(g):
+            _accum(x, np.broadcast_to(g, x.shape).astype(x.data.dtype, copy=False))
+
+        out._backward = bw
+    return out
+
+
 def sum_all(x) -> Tensor:
     x = as_tensor(x)
-    out = _node(np.asarray(x.data.sum(dtype=x.data.dtype)), (x,))
-    if out.requires_grad:
-
-        def bw(g):
-            _accum(x, np.broadcast_to(g, x.shape).astype(x.data.dtype, copy=False))
-
-        out._backward = bw
-    return out
+    return _sum(x, np.asarray(x.data.sum(dtype=x.data.dtype)))
 
 
-def sum_last(x, keepdims: bool = True) -> Tensor:
+def sum_last(x) -> Tensor:
     x = as_tensor(x)
-    out = _node(x.data.sum(axis=-1, keepdims=keepdims, dtype=x.data.dtype), (x,))
-    if out.requires_grad:
-
-        def bw(g):
-            if not keepdims:
-                g = g[..., None]
-            _accum(x, np.broadcast_to(g, x.shape).astype(x.data.dtype, copy=False))
-
-        out._backward = bw
-    return out
+    return _sum(x, x.data.sum(axis=-1, keepdims=True, dtype=x.data.dtype))
 
 
 def gather_rows(table, index) -> Tensor:
@@ -491,32 +448,28 @@ def gather_rows(table, index) -> Tensor:
 # paired-channel helpers (rotary layout: adjacent (2i, 2i+1) pairs)
 
 
-def even_pairs(x) -> Tensor:
+def _every_other(x, start: int) -> Tensor:
     x = as_tensor(x)
-    out = _node(x.data[..., 0::2], (x,))
+    out = _node(x.data[..., start::2], (x,))
     if out.requires_grad:
 
         def bw(g):
             buf = np.zeros_like(x.data)
-            buf[..., 0::2] = g
+            buf[..., start::2] = g
             _accum(x, buf)
 
         out._backward = bw
     return out
+
+
+def even_pairs(x) -> Tensor:
+    """Channels 0, 2, 4, ...: the first member of each pair."""
+    return _every_other(x, 0)
 
 
 def odd_pairs(x) -> Tensor:
-    x = as_tensor(x)
-    out = _node(x.data[..., 1::2], (x,))
-    if out.requires_grad:
-
-        def bw(g):
-            buf = np.zeros_like(x.data)
-            buf[..., 1::2] = g
-            _accum(x, buf)
-
-        out._backward = bw
-    return out
+    """Channels 1, 3, 5, ...: the second member of each pair."""
+    return _every_other(x, 1)
 
 
 def interleave_pairs(a, b) -> Tensor:
@@ -524,8 +477,7 @@ def interleave_pairs(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.shape != b.shape:
         raise ValueError(f"interleave shapes differ: {a.shape} vs {b.shape}")
-    if a.data.dtype != b.data.dtype:
-        raise TypeError("interleave dtype mismatch")
+    _check_dtypes(a, b)
     data = np.empty(a.shape[:-1] + (2 * a.shape[-1],), dtype=a.data.dtype)
     data[..., 0::2] = a.data
     data[..., 1::2] = b.data
@@ -546,36 +498,25 @@ def interleave_pairs(a, b) -> Tensor:
 # attention and loss kernels
 
 
-def causal_mask(scores) -> Tensor:
-    """Replace entries above the diagonal of the last two axes with a large
-    negative constant, so future positions get exactly zero attention weight
-    and exactly zero gradient."""
+def causal_softmax(scores, scale: float) -> Tensor:
+    """Attention weights: softmax along the last axis of scores * scale, with
+    entries above the diagonal of the last two axes set to a large negative
+    constant first, so future positions get exactly zero weight and exactly
+    zero gradient. Stabilized by rowwise max subtraction."""
     scores = as_tensor(scores)
-    s_q, s_k = scores.shape[-2], scores.shape[-1]
-    keep = np.tril(np.ones((s_q, s_k), dtype=bool))
-    neg = scores.data.dtype.type(-1e9)
-    out = _node(np.where(keep, scores.data, neg), (scores,))
-    if out.requires_grad:
-
-        def bw(g):
-            _accum(scores, np.where(keep, g, scores.data.dtype.type(0)))
-
-        out._backward = bw
-    return out
-
-
-def softmax_last(x) -> Tensor:
-    """Softmax along the last axis, stabilized by rowwise max subtraction."""
-    x = as_tensor(x)
-    z = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
-    out = _node(y, (x,))
+    s = scores.data.dtype.type(scale)
+    future = np.triu(np.ones(scores.shape[-2:], dtype=bool), k=1)
+    y = scores.data * s
+    np.copyto(y, s.dtype.type(-1e9), where=future)
+    y -= y.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
+    out = _node(y, (scores,))
     if out.requires_grad:
 
         def bw(g):
             inner = (g * y).sum(axis=-1, keepdims=True)
-            _accum(x, y * (g - inner))
+            _accum(scores, y * (g - inner) * s)
 
         out._backward = bw
     return out

@@ -9,6 +9,7 @@ order, so identical parameters always serialize to identical bytes.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -62,8 +63,17 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     blob = (path / "params.bin").read_bytes()
     params: dict[str, np.ndarray] = {}
     for entry in manifest["tensors"]:
-        dt = np.dtype(_DTYPE_TAGS[entry["dtype"]])
+        name, tag, shape = entry["name"], entry["dtype"], entry["shape"]
+        if tag not in _DTYPE_TAGS:
+            raise ValueError(f"tensor {name!r} has unknown dtype tag {tag!r}")
+        dt = np.dtype(_DTYPE_TAGS[tag])
         start, nbytes = entry["offset"], entry["nbytes"]
+        if start < 0 or start + nbytes > len(blob):
+            raise ValueError(
+                f"tensor {name!r} spans bytes {start}..{start + nbytes} of {len(blob)} in params.bin"
+            )
+        if nbytes != math.prod(shape) * dt.itemsize:
+            raise ValueError(f"tensor {name!r} has {nbytes} bytes, not the size of {tag} {shape}")
         arr = np.frombuffer(blob[start : start + nbytes], dtype=dt)
-        params[entry["name"]] = arr.reshape(entry["shape"]).astype(entry["dtype"])
+        params[name] = arr.reshape(shape).astype(tag)
     return params, manifest["extra"]

@@ -80,6 +80,8 @@ DEFAULTS: dict = {
 }
 
 _RUN_ONLY_KEYS = {"label", "checkpoint"}
+# compare reads these once for all runs, so a runs entry may not set them.
+_SHARED_ONLY_KEYS = {"eval_lens", "corpus", "split_fraction", "out_dir"}
 
 _XI_FORMS = {f.value: f for f in XiForm}
 _PLAN_MODES = {m.value: m for m in PlanMode}
@@ -100,6 +102,9 @@ def resolve_config(doc: dict, allow_runs: bool = False) -> dict:
             bad = set(entry) - set(DEFAULTS) - _RUN_ONLY_KEYS
             if bad:
                 raise InputError(f"unknown keys in runs[{i}]: {sorted(bad)}")
+            shared = set(entry) & _SHARED_ONLY_KEYS
+            if shared:
+                raise InputError(f"runs[{i}] sets top-level-only keys {sorted(shared)}")
             checked.append(dict(entry))
         cfg["runs"] = checked
     return cfg
@@ -175,8 +180,8 @@ def split_config(cfg: dict) -> tuple[ModelConfig, TrainSettings]:
             raise ValueError(f"batch_size must be >= 1, got {settings.batch_size}")
         factors = settings.cache_factors
         ascending = all(b > a for a, b in zip(factors, factors[1:]))
-        if not factors or not factors[0] >= 1.0 or not ascending:
-            raise ValueError(f"cache_factors must be strictly ascending and >= 1, got {list(factors)}")
+        if not factors or not factors[0] >= 1.0 or not ascending or not np.isfinite(factors).all():
+            raise ValueError(f"cache_factors must be finite, strictly ascending and >= 1, got {list(factors)}")
         lens = cfg["eval_lens"]
         if not isinstance(lens, list) or not all(
             isinstance(n, int) and not isinstance(n, bool) and n >= 2 for n in lens

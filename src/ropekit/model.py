@@ -49,8 +49,9 @@ class ModelConfig:
             raise ValueError(f"head dim must be even, got {self.d_head}")
         if self.train_len < 2:
             raise ValueError(f"train_len must be >= 2, got {self.train_len}")
-        if self.t_train < 1.0 or self.t_fixed < 1.0:
-            raise ValueError("scale factors must be >= 1")
+        for t in (self.t_train, self.t_fixed):
+            if not (math.isfinite(t) and t >= 1.0):
+                raise ValueError(f"scale factors must be finite and >= 1, got {t}")
         return self
 
 
@@ -150,8 +151,7 @@ def forward(
         v = _split_heads(_project(pre, params[p + "wv"]), h_count)
         q = rotate_sequences(q, positions, theta)
         k = rotate_sequences(k, positions, theta)
-        att = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), score_scale)
-        att = ad.softmax_last(ad.causal_mask(att))
+        att = ad.causal_softmax(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), score_scale)
         ctx = ad.reshape(ad.transpose(ad.matmul(att, v), (0, 2, 1, 3)), (b, s, cfg.d_model))
         x = ad.add(x, _project(ctx, params[p + "wo"]))
         pre = rmsnorm(x, params[p + "mlp_norm"])

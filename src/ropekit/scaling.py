@@ -5,6 +5,8 @@ log bases connecting discrete scale factors."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .rotary import FrequencyBasis
@@ -12,8 +14,8 @@ from .rotary import FrequencyBasis
 
 def _check_factor(t: float) -> float:
     t = float(t)
-    if t < 1.0:
-        raise ValueError(f"scale factor must be >= 1, got {t}")
+    if not (math.isfinite(t) and t >= 1.0):
+        raise ValueError(f"scale factor must be finite and >= 1, got {t}")
     return t
 
 

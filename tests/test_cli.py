@@ -69,13 +69,26 @@ def test_train_unknown_key_exits_2(tmp_path, capsys):
     ("eval_lens", "128"),
     ("cache_factors", [2.0, 1.0]),
     ("cache_factors", [0.5, 1.0]),
+    ("cache_factors", [1.0, float("inf")]),
 ], ids=["steps", "batch_size", "eval_len_1", "eval_len_float", "eval_lens_str",
-        "cache_descending", "cache_below_1"])
+        "cache_descending", "cache_below_1", "cache_inf"])
 def test_bad_config_value_exits_2_before_corpus_load(tmp_path, capsys, key, value):
     # the corpus is absent, so only a check made before loading it can name the key
     cfg = write_config(tmp_path, {"corpus": str(tmp_path / "absent.bin"), key: value})
     assert main(["train", "-c", str(cfg), "-o", str(tmp_path / "runs")]) == 2
     assert f"error: {key} must" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("config", [
+    {"method": "ode", "t_train": float("nan")},
+    {"method": "yarn", "t_fixed": float("inf")},
+], ids=["t_train_nan", "t_fixed_inf"])
+def test_train_non_finite_scale_factor_exits_2(tmp_path, capsys, corpus_file, config):
+    # json.dumps writes NaN and Infinity, which json.loads reads back
+    cfg = write_config(tmp_path, tiny_config(corpus_file, **config))
+    assert main(["train", "-c", str(cfg), "-o", str(tmp_path / "runs")]) == 2
+    assert "error: scale factors must be finite" in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
 
 
@@ -261,7 +274,10 @@ def test_basis_odd_dim_exits_2(tmp_path, capsys):
     ["-d", "8", "--t", "abc"],
     ["-d", "8", "--methods", "ode", "--t", "0.5"],
     ["-d", "2", "--methods", "ode", "--t", "1"],
-], ids=["missing_checkpoint", "t_not_a_number", "ode_t_below_1", "ode_head_dim_2"])
+    ["-d", "8", "--methods", "ode", "--t", "inf"],
+    ["-d", "8", "--methods", "yarn", "--t", "nan"],
+], ids=["missing_checkpoint", "t_not_a_number", "ode_t_below_1", "ode_head_dim_2",
+        "ode_t_inf", "yarn_t_nan"])
 def test_basis_bad_input_exits_2(tmp_path, capsys, argv):
     assert main(["basis", *(a.format(tmp=tmp_path) for a in argv)]) == 2
     err = capsys.readouterr().err
@@ -315,6 +331,22 @@ def test_compare_label_with_comma_exits_2(tmp_path, corpus_file, capsys):
     cfg = write_config(tmp_path, doc)
     assert main(["compare", "-c", str(cfg), "-o", str(tmp_path / "x")]) == 2
     assert "may not contain commas" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("eval_lens", [64]),
+    ("corpus", "/nonexistent"),
+    ("split_fraction", 0.5),
+    ("out_dir", "elsewhere"),
+])
+def test_compare_run_setting_shared_key_exits_2(tmp_path, corpus_file, capsys, key, value):
+    # these keys are read once at the top level; in a run they were ignored
+    doc = tiny_config(corpus_file)
+    doc["runs"] = [{"method": "rope", key: value}]
+    cfg = write_config(tmp_path, doc)
+    assert main(["compare", "-c", str(cfg), "-o", str(tmp_path / "x")]) == 2
+    assert f"runs[0] sets top-level-only keys ['{key}']" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,25 @@ def test_causality_gradients_exactly_zero():
     assert np.any(past != 0.0)
 
 
+def test_attention_weights_are_one_tape_node():
+    # Between the q.k^T matmul and the att.v matmul the tape holds exactly
+    # one node: the causal_softmax that scales, masks and normalizes.
+    cfg = tiny_cfg()
+    params = init_params(cfg, dtype=np.float64)
+    toks = np.random.default_rng(1).integers(0, cfg.vocab, size=(2, 6))
+    nodes = ad._toposort(forward(params, cfg, toks, natural(6), default_basis(cfg.d_head)))
+
+    def op(node):
+        return node._backward.__qualname__.split(".")[0] if node._backward else None
+
+    att = [n for n in nodes if op(n) == "causal_softmax"]
+    assert len(att) == cfg.n_layers
+    for a in att:
+        assert [op(p) for p in a._parents] == ["matmul"]
+        consumers = [n for n in nodes if any(p is a for p in n._parents)]
+        assert [op(n) for n in consumers] == ["matmul"] and consumers[0].ndim == 4
+
+
 def test_forward_matches_dense_reference():
     cfg = tiny_cfg()
     params = init_params(cfg, dtype=np.float32, rng=np.random.default_rng(3))
