@@ -4,11 +4,12 @@ Dynamic tape: each operation records a backward closure on its output node
 and backward() replays the closures in reverse topological order. Two
 precision modes are supported (float32 for training, float64 for
 verification) and are kept strictly separate: mixing dtypes in one op is an
-error. Implicit broadcasting is limited to scalar-with-tensor and
-equal-shape operands; everything else is an explicit op (reshape, expand).
+error. The elementwise ops broadcast only scalar-with-tensor and equal-shape
+operands; the layer kernels broadcast internally.
 
-Each job is one op and one tape node: causal_softmax scales, masks and
-normalizes the attention scores in one pass with one hand-written VJP.
+Each job is one op and one tape node with one hand-written VJP: rotate_pairs
+applies the rotary transform, rms_norm normalizes, and causal_softmax scales,
+masks and normalizes the attention scores.
 """
 
 from __future__ import annotations
@@ -213,21 +214,6 @@ def add(a, b) -> Tensor:
     return out
 
 
-def sub(a, b) -> Tensor:
-    a, b = _coerce_pair(a, b)
-    out = _node(a.data - b.data, (a, b))
-    if out.requires_grad:
-
-        def bw(g):
-            if a.requires_grad:
-                _accum(a, _reduce_to(g, a.shape))
-            if b.requires_grad:
-                _accum(b, _reduce_to(-g, b.shape))
-
-        out._backward = bw
-    return out
-
-
 def mul(a, b) -> Tensor:
     a, b = _coerce_pair(a, b)
     out = _node(a.data * b.data, (a, b))
@@ -270,30 +256,6 @@ def exp(x) -> Tensor:
     return out
 
 
-def cos(x) -> Tensor:
-    x = as_tensor(x)
-    out = _node(np.cos(x.data), (x,))
-    if out.requires_grad:
-
-        def bw(g):
-            _accum(x, -g * np.sin(x.data))
-
-        out._backward = bw
-    return out
-
-
-def sin(x) -> Tensor:
-    x = as_tensor(x)
-    out = _node(np.sin(x.data), (x,))
-    if out.requires_grad:
-
-        def bw(g):
-            _accum(x, g * np.cos(x.data))
-
-        out._backward = bw
-    return out
-
-
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # Stable in both tails: exp only ever sees -|z|.
     e = np.exp(-np.abs(z))
@@ -310,20 +272,6 @@ def silu(x) -> Tensor:
 
         def bw(g):
             _accum(x, g * s * (1.0 + x.data * (1.0 - s)))
-
-        out._backward = bw
-    return out
-
-
-def powf(x, p: float) -> Tensor:
-    """Elementwise x**p for real p; domain x > 0 when p is non-integral."""
-    x = as_tensor(x)
-    p = float(p)
-    out = _node(x.data**p, (x,))
-    if out.requires_grad:
-
-        def bw(g):
-            _accum(x, g * p * x.data ** (p - 1.0))
 
         out._backward = bw
     return out
@@ -382,29 +330,9 @@ def reshape(x, shape: Sequence[int]) -> Tensor:
     return out
 
 
-def expand(x, shape: Sequence[int]) -> Tensor:
-    """Explicit broadcast to a larger shape; gradient sums over expanded axes."""
+def sum_all(x) -> Tensor:
     x = as_tensor(x)
-    shape = tuple(shape)
-    out = _node(np.broadcast_to(x.data, shape), (x,))
-    if out.requires_grad:
-        orig = x.shape
-
-        def bw(g):
-            extra = g.ndim - len(orig)
-            if extra:
-                g = g.sum(axis=tuple(range(extra)))
-            axes = tuple(i for i, s in enumerate(orig) if s == 1 and g.shape[i] != 1)
-            if axes:
-                g = g.sum(axis=axes, keepdims=True)
-            _accum(x, g.reshape(orig))
-
-        out._backward = bw
-    return out
-
-
-def _sum(x: Tensor, total: np.ndarray) -> Tensor:
-    out = _node(total, (x,))
+    out = _node(np.asarray(x.data.sum(dtype=x.data.dtype)), (x,))
     if out.requires_grad:
 
         def bw(g):
@@ -412,16 +340,6 @@ def _sum(x: Tensor, total: np.ndarray) -> Tensor:
 
         out._backward = bw
     return out
-
-
-def sum_all(x) -> Tensor:
-    x = as_tensor(x)
-    return _sum(x, np.asarray(x.data.sum(dtype=x.data.dtype)))
-
-
-def sum_last(x) -> Tensor:
-    x = as_tensor(x)
-    return _sum(x, x.data.sum(axis=-1, keepdims=True, dtype=x.data.dtype))
 
 
 def gather_rows(table, index) -> Tensor:
@@ -445,57 +363,81 @@ def gather_rows(table, index) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# paired-channel helpers (rotary layout: adjacent (2i, 2i+1) pairs)
+# layer kernels: rotary, normalization, attention and loss
+#
+# The kernels fix the order of their float operations: runs are compared byte
+# for byte, so a reordering that is exact in real arithmetic still changes them.
 
 
-def _every_other(x, start: int) -> Tensor:
-    x = as_tensor(x)
-    out = _node(x.data[..., start::2], (x,))
+def rotate_pairs(x, positions, theta) -> Tensor:
+    """Rotary transform: rotate each adjacent channel pair (2i, 2i+1) of
+    x[..., S, d] by the angle positions[s] * theta[i].
+
+    positions is a plain array of S positions, theta a [d/2] tensor of the
+    same dtype as x. Differentiable in x and theta.
+    """
+    x, theta = as_tensor(x), as_tensor(theta)
+    _check_dtypes(x, theta)
+    pos = np.asarray(positions, dtype=x.data.dtype).reshape(-1, 1)
+    ang = np.matmul(pos, theta.data.reshape(1, -1))
+    cos, sin = np.cos(ang), np.sin(ang)
+    even, odd = x.data[..., 0::2], x.data[..., 1::2]
+    data = np.empty_like(x.data)
+    data[..., 0::2] = even * cos - odd * sin
+    data[..., 1::2] = even * sin + odd * cos
+    out = _node(data, (x, theta))
     if out.requires_grad:
 
         def bw(g):
-            buf = np.zeros_like(x.data)
-            buf[..., start::2] = g
-            _accum(x, buf)
+            g_even, g_odd = g[..., 0::2], g[..., 1::2]
+            if x.requires_grad:
+                gx = np.empty_like(x.data)
+                gx[..., 0::2] = g_even * cos + g_odd * sin
+                gx[..., 1::2] = g_odd * cos - g_even * sin
+                _accum(x, gx)
+            if theta.requires_grad:
+                lead = tuple(range(g.ndim - 2))
+                g_cos = (g_even * even + g_odd * odd).sum(axis=lead)
+                g_sin = (g_odd * even - g_even * odd).sum(axis=lead)
+                g_ang = g_sin * cos + (-g_cos) * sin
+                _accum(theta, np.matmul(pos.T, g_ang).reshape(theta.shape))
 
         out._backward = bw
     return out
 
 
-def even_pairs(x) -> Tensor:
-    """Channels 0, 2, 4, ...: the first member of each pair."""
-    return _every_other(x, 0)
-
-
-def odd_pairs(x) -> Tensor:
-    """Channels 1, 3, 5, ...: the second member of each pair."""
-    return _every_other(x, 1)
-
-
-def interleave_pairs(a, b) -> Tensor:
-    """Zip two [..., d/2] tensors back into [..., d] adjacent pairs."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.shape != b.shape:
-        raise ValueError(f"interleave shapes differ: {a.shape} vs {b.shape}")
-    _check_dtypes(a, b)
-    data = np.empty(a.shape[:-1] + (2 * a.shape[-1],), dtype=a.data.dtype)
-    data[..., 0::2] = a.data
-    data[..., 1::2] = b.data
-    out = _node(data, (a, b))
+def rms_norm(x, gain, eps: float) -> Tensor:
+    """x / sqrt(mean(x**2, last axis) + eps) * gain, with gain a [d] tensor.
+    Differentiable in x and gain."""
+    x, gain = as_tensor(x), as_tensor(gain)
+    _check_dtypes(x, gain)
+    d = x.shape[-1]
+    if gain.shape != (d,):
+        raise ValueError(f"gain shape {gain.shape} does not match last axis {d}")
+    dt = x.data.dtype.type
+    ms = (x.data * x.data).sum(axis=-1, keepdims=True, dtype=x.data.dtype) * dt(1.0 / d) + dt(eps)
+    inv = ms**-0.5
+    y = x.data * inv
+    out = _node(y * gain.data, (x, gain))
     if out.requires_grad:
 
         def bw(g):
-            if a.requires_grad:
-                _accum(a, g[..., 0::2])
-            if b.requires_grad:
-                _accum(b, g[..., 1::2])
+            if gain.requires_grad:
+                _accum(gain, (g * y).sum(axis=tuple(range(g.ndim - 1))))
+            if x.requires_grad:
+                gy = g * gain.data
+                g_ms = (gy * x.data).sum(axis=-1, keepdims=True) * -0.5 * ms**-1.5 * dt(1.0 / d)
+                g_sq = g_ms * x.data
+                # Three separate additions, not gy * inv + 2 * g_sq: float addition
+                # is not associative, and this is the order in which the x * inv
+                # term and both operands of x * x reach x's gradient.
+                _accum(x, gy * inv)
+                _accum(x, g_sq)
+                _accum(x, g_sq)
 
         out._backward = bw
     return out
 
-
-# ---------------------------------------------------------------------------
-# attention and loss kernels
 
 
 def causal_softmax(scores, scale: float) -> Tensor:

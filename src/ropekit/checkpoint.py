@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,15 @@ from .autodiff import Tensor
 FORMAT_VERSION = 1
 
 _DTYPE_TAGS = {"float32": "<f4", "float64": "<f8"}
+_ENTRY_KEYS = ("name", "dtype", "shape", "offset", "nbytes")
+
+
+def _write_replace(path: Path, data: bytes) -> None:
+    """Write through a temp file and os.replace: path ends up either as it
+    was or holding all of data."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_bytes(data)
+    os.replace(tmp, path)
 
 
 def save_checkpoint(path, params: dict, extra: dict | None = None) -> None:
@@ -47,8 +57,12 @@ def save_checkpoint(path, params: dict, extra: dict | None = None) -> None:
         "extra": extra or {},
         "tensors": entries,
     }
-    (path / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    (path / "params.bin").write_bytes(bytes(blob))
+    # Old manifest out, params.bin in, new manifest in: a crash part way leaves
+    # no manifest rather than one describing a missing, partial or older blob.
+    (path / "manifest.json").unlink(missing_ok=True)
+    _write_replace(path / "params.bin", bytes(blob))
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    _write_replace(path / "manifest.json", text.encode())
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
@@ -57,17 +71,29 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     if not manifest_file.exists():
         raise FileNotFoundError(f"no checkpoint manifest at {manifest_file}")
     manifest = json.loads(manifest_file.read_text())
+    if not isinstance(manifest, dict):
+        raise ValueError("checkpoint manifest is not a JSON object")
     version = manifest.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format version {version}")
+    entries = manifest.get("tensors")
+    if not isinstance(entries, list):
+        raise ValueError("checkpoint manifest has no 'tensors' list")
     blob = (path / "params.bin").read_bytes()
     params: dict[str, np.ndarray] = {}
-    for entry in manifest["tensors"]:
-        name, tag, shape = entry["name"], entry["dtype"], entry["shape"]
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict) or "name" not in entry:
+            raise ValueError(f"manifest entry #{i} has no 'name'")
+        name = entry["name"]
+        missing = [key for key in _ENTRY_KEYS if key not in entry]
+        if missing:
+            raise ValueError(f"tensor {name!r} has no {missing[0]!r}")
+        tag, shape, start, nbytes = (entry[key] for key in _ENTRY_KEYS[1:])
+        if not isinstance(shape, list) or not all(type(n) is int for n in (start, nbytes, *shape)):
+            raise ValueError(f"tensor {name!r} needs an integer offset, nbytes and shape list")
         if tag not in _DTYPE_TAGS:
             raise ValueError(f"tensor {name!r} has unknown dtype tag {tag!r}")
         dt = np.dtype(_DTYPE_TAGS[tag])
-        start, nbytes = entry["offset"], entry["nbytes"]
         if start < 0 or start + nbytes > len(blob):
             raise ValueError(
                 f"tensor {name!r} spans bytes {start}..{start + nbytes} of {len(blob)} in params.bin"
@@ -76,4 +102,4 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
             raise ValueError(f"tensor {name!r} has {nbytes} bytes, not the size of {tag} {shape}")
         arr = np.frombuffer(blob[start : start + nbytes], dtype=dt)
         params[name] = arr.reshape(shape).astype(tag)
-    return params, manifest["extra"]
+    return params, manifest.get("extra", {})

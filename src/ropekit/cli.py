@@ -176,8 +176,9 @@ def split_config(cfg: dict) -> tuple[ModelConfig, TrainSettings]:
         _ = settings.dtype
         if settings.steps < 1:
             raise ValueError(f"steps must be >= 1, got {settings.steps}")
-        if settings.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {settings.batch_size}")
+        for key in ("batch_size", "steps_per_unit", "lambda_amp"):
+            if getattr(settings, key) < 1:
+                raise ValueError(f"{key} must be >= 1, got {getattr(settings, key)}")
         factors = settings.cache_factors
         ascending = all(b > a for a, b in zip(factors, factors[1:]))
         if not factors or not factors[0] >= 1.0 or not ascending or not np.isfinite(factors).all():
@@ -235,16 +236,27 @@ def write_resolved_config(run_dir: Path, cfg: dict) -> None:
     (run_dir / "config.json").write_text(json.dumps(cfg, indent=2, sort_keys=True) + "\n")
 
 
-def _load_run_corpus(cfg: dict):
+def _load_run_corpus(cfg: dict, train_lens=(), eval_lens=()):
+    """The config's corpus, checked to hold a training window of each
+    train_len (plus its next-token target) and a validation window of each
+    eval length, so a short corpus fails before any training."""
     path = cfg.get("corpus")
     if not path:
         raise InputError("config key 'corpus' is required")
     try:
-        return load_corpus(path, float(cfg["split_fraction"]))
+        corpus = load_corpus(path, float(cfg["split_fraction"]))
     except FileNotFoundError:
         raise InputError(f"corpus not found: {path}") from None
     except ValueError as e:
         raise InputError(str(e)) from None
+    for n in train_lens:
+        if corpus.train.size < n + 1:
+            raise InputError(f"training split too short: {corpus.train.size} bytes < train_len {n} + 1")
+    if eval_lens and corpus.val.size < max(eval_lens):
+        raise InputError(
+            f"validation split too short: {corpus.val.size} bytes < one window of {max(eval_lens)}"
+        )
+    return corpus
 
 
 def _load_checkpoint(path):
@@ -310,7 +322,7 @@ def format_table(report: EvalReport) -> str:
 def cmd_train(args) -> int:
     cfg = apply_overrides(load_config_file(args.config), args.set)
     model_cfg, settings = split_config(cfg)
-    corpus = _load_run_corpus(cfg)
+    corpus = _load_run_corpus(cfg, train_lens=[model_cfg.train_len])
     run_dir = make_run_dir(cfg, args.out, "train", model_cfg.method)
     write_resolved_config(run_dir, cfg)
     print(f"run dir: {run_dir}", file=sys.stderr)
@@ -326,7 +338,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg = apply_overrides(load_config_file(args.config), args.set)
     model_cfg, settings = split_config(cfg)
-    corpus = _load_run_corpus(cfg)
+    corpus = _load_run_corpus(cfg, eval_lens=cfg["eval_lens"])
     params, extra = _load_checkpoint(args.checkpoint)
     check_compat(extra, cfg)
     run_dir = make_run_dir(cfg, args.out, "eval", model_cfg.method)
@@ -423,7 +435,8 @@ def cmd_compare(args) -> int:
     if any("," in str(label) for label in labels):
         raise InputError(f"run labels are report.csv fields and may not contain commas: {labels}")
 
-    corpus = _load_run_corpus(cfg)
+    train_lens = [e.cfg.train_len for e in entries if e.params is None]
+    corpus = _load_run_corpus(cfg, train_lens, cfg["eval_lens"])
     run_dir = make_run_dir(cfg, args.out, "compare", "x".join(labels))
     write_resolved_config(run_dir, cfg)
     print(f"run dir: {run_dir}", file=sys.stderr)

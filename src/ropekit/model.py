@@ -43,10 +43,16 @@ class ModelConfig:
             raise ValueError(f"unknown method {self.method!r}; pick from {METHODS}")
         if self.vocab < 2:
             raise ValueError(f"vocab must be >= 2, got {self.vocab}")
-        if self.d_model % self.n_heads != 0:
-            raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
+        if self.n_layers < 1:
+            raise ValueError(f"n_layers must be >= 1, got {self.n_layers}")
+        if self.n_heads < 1:
+            raise ValueError(f"n_heads must be >= 1, got {self.n_heads}")
+        if self.d_model < 1 or self.d_model % self.n_heads != 0:
+            raise ValueError(f"d_model must be a positive multiple of n_heads {self.n_heads}, got {self.d_model}")
         if self.d_head % 2 != 0:
             raise ValueError(f"head dim must be even, got {self.d_head}")
+        if self.method == "ode" and self.d_head < 4:
+            raise ValueError(f"head dim must be >= 4 for method ode, got {self.d_head}")
         if self.train_len < 2:
             raise ValueError(f"train_len must be >= 2, got {self.train_len}")
         for t in (self.t_train, self.t_fixed):
@@ -85,12 +91,7 @@ def init_params(cfg: ModelConfig, dtype=np.float32, rng=None) -> dict[str, Tenso
 
 
 def rmsnorm(x: Tensor, gain: Tensor) -> Tensor:
-    d = x.shape[-1]
-    ms = ad.scale(ad.sum_last(ad.mul(x, x)), 1.0 / d)
-    inv = ad.powf(ad.add(ms, RMS_EPS), -0.5)
-    y = ad.mul(x, ad.expand(inv, x.shape))
-    g = ad.reshape(gain, (1,) * (x.ndim - 1) + (d,))
-    return ad.mul(y, ad.expand(g, x.shape))
+    return ad.rms_norm(x, gain, RMS_EPS)
 
 
 def _project(x: Tensor, w: Tensor) -> Tensor:

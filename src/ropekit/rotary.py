@@ -69,20 +69,9 @@ def rotate_sequences(x: Tensor, positions, theta: Tensor) -> Tensor:
     s = x.shape[-2]
     if theta.shape != (d // 2,):
         raise ValueError(f"theta shape {theta.shape} does not match head dim {d}")
-    pos = np.asarray(positions, dtype=x.dtype).reshape(s, 1)
-    if pos.shape[0] != s:
+    if np.size(positions) != s:
         raise ValueError("positions length does not match sequence length")
-    angles = ad.matmul(ad.constant(pos), ad.reshape(theta, (1, d // 2)))
-    cos_t, sin_t = ad.cos(angles), ad.sin(angles)
-    half_shape = x.shape[:-1] + (d // 2,)
-    lead = (1,) * (len(half_shape) - 2) + (s, d // 2)
-    cos_b = ad.expand(ad.reshape(cos_t, lead), half_shape)
-    sin_b = ad.expand(ad.reshape(sin_t, lead), half_shape)
-    e, o = ad.even_pairs(x), ad.odd_pairs(x)
-    return ad.interleave_pairs(
-        ad.sub(ad.mul(e, cos_b), ad.mul(o, sin_b)),
-        ad.add(ad.mul(e, sin_b), ad.mul(o, cos_b)),
-    )
+    return ad.rotate_pairs(x, positions, theta)
 
 
 def apply_rotary(x, m: float, basis):

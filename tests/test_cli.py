@@ -61,23 +61,59 @@ def test_train_unknown_key_exits_2(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key, value", [
-    ("steps", 0),
-    ("batch_size", 0),
-    ("eval_lens", [128, 1]),
-    ("eval_lens", [64.5]),
-    ("eval_lens", "128"),
-    ("cache_factors", [2.0, 1.0]),
-    ("cache_factors", [0.5, 1.0]),
-    ("cache_factors", [1.0, float("inf")]),
+@pytest.mark.parametrize("doc, message", [
+    ({"steps": 0}, "steps must"),
+    ({"batch_size": 0}, "batch_size must"),
+    ({"eval_lens": [128, 1]}, "eval_lens must"),
+    ({"eval_lens": [64.5]}, "eval_lens must"),
+    ({"eval_lens": "128"}, "eval_lens must"),
+    ({"cache_factors": [2.0, 1.0]}, "cache_factors must"),
+    ({"cache_factors": [0.5, 1.0]}, "cache_factors must"),
+    ({"cache_factors": [1.0, float("inf")]}, "cache_factors must"),
+    ({"n_heads": 0}, "n_heads must"),
+    ({"n_layers": 0}, "n_layers must"),
+    ({"d_model": 0}, "d_model must"),
+    ({"steps_per_unit": 0}, "steps_per_unit must"),
+    ({"lambda_amp": 0}, "lambda_amp must"),
+    ({"method": "ode", "d_model": 8, "n_heads": 4}, "head dim must be >= 4 for method ode"),
 ], ids=["steps", "batch_size", "eval_len_1", "eval_len_float", "eval_lens_str",
-        "cache_descending", "cache_below_1", "cache_inf"])
-def test_bad_config_value_exits_2_before_corpus_load(tmp_path, capsys, key, value):
+        "cache_descending", "cache_below_1", "cache_inf", "n_heads", "n_layers", "d_model",
+        "steps_per_unit", "lambda_amp", "ode_head_dim_2"])
+def test_bad_config_value_exits_2_before_corpus_load(tmp_path, capsys, doc, message):
     # the corpus is absent, so only a check made before loading it can name the key
-    cfg = write_config(tmp_path, {"corpus": str(tmp_path / "absent.bin"), key: value})
+    cfg = write_config(tmp_path, {"corpus": str(tmp_path / "absent.bin"), **doc})
     assert main(["train", "-c", str(cfg), "-o", str(tmp_path / "runs")]) == 2
-    assert f"error: {key} must" in capsys.readouterr().err
+    assert f"error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
+
+
+def test_train_corpus_shorter_than_train_len_exits_2(tmp_path, capsys, corpus_file):
+    cfg = write_config(tmp_path, tiny_config(corpus_file, train_len=100_000))
+    assert main(["train", "-c", str(cfg), "-o", str(tmp_path / "runs")]) == 2
+    assert "error: training split too short" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_eval_validation_split_shorter_than_eval_len_exits_2(tmp_path, capsys, corpus_file):
+    # checked right after the corpus loads, before the checkpoint is even read
+    cfg = write_config(tmp_path, tiny_config(corpus_file, eval_lens=[32, 8192]))
+    argv = ["eval", "-c", str(cfg), "--checkpoint", str(tmp_path / "absent"), "-o", str(tmp_path / "runs")]
+    assert main(argv) == 2
+    assert "error: validation split too short" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("train_len", 100_000, "training split too short"),
+    ("eval_lens", [32, 8192], "validation split too short"),
+], ids=["train_len", "eval_len"])
+def test_compare_corpus_too_short_exits_2_before_training(tmp_path, capsys, corpus_file, key, value, message):
+    doc = tiny_config(corpus_file, **{key: value})
+    doc["runs"] = [{"method": "rope"}, {"method": "pi", "t_fixed": 2.0}]
+    cfg = write_config(tmp_path, doc)
+    assert main(["compare", "-c", str(cfg), "-o", str(tmp_path / "x")]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("config", [

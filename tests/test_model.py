@@ -4,6 +4,7 @@ import pytest
 from helpers import reference_forward
 
 from ropekit import autodiff as ad
+from ropekit import model
 from ropekit.autodiff import Tensor
 from ropekit.model import ModelConfig, forward, init_params, log_scale_mult
 from ropekit.rotary import default_basis
@@ -120,6 +121,36 @@ def test_attention_weights_are_one_tape_node():
         assert [op(p) for p in a._parents] == ["matmul"]
         consumers = [n for n in nodes if any(p is a for p in n._parents)]
         assert [op(n) for n in consumers] == ["matmul"] and consumers[0].ndim == 4
+
+
+def test_rotary_and_rmsnorm_are_one_tape_node_each(monkeypatch):
+    # Each rotate_sequences and rmsnorm call in forward adds exactly one node
+    # to the tape: its output, whose parents are the call's tensor arguments.
+    cfg = tiny_cfg()
+    params = init_params(cfg, dtype=np.float64)
+    theta = Tensor(default_basis(cfg.d_head).theta, requires_grad=True)
+    calls = []
+
+    def record(fn):
+        def call(x, *rest):
+            out = fn(x, *rest)
+            calls.append((fn.__name__, (x, rest[-1]), out))
+            return out
+
+        return call
+
+    monkeypatch.setattr(model, "rotate_sequences", record(model.rotate_sequences))
+    monkeypatch.setattr(model, "rmsnorm", record(model.rmsnorm))
+    toks = np.random.default_rng(1).integers(0, cfg.vocab, size=(2, 6))
+    forward(params, cfg, toks, natural(6), theta)
+    names = [name for name, _, _ in calls]
+    assert names.count("rotate_sequences") == 2 * cfg.n_layers
+    assert names.count("rmsnorm") == 2 * cfg.n_layers + 1
+    for name, inputs, out in calls:
+        before = {id(n) for t in inputs for n in ad._toposort(t)}
+        added = [n for n in ad._toposort(out) if id(n) not in before]
+        assert added == [out], f"{name} recorded {len(added)} nodes"
+        assert out._parents == inputs
 
 
 def test_forward_matches_dense_reference():
