@@ -12,18 +12,20 @@ Exit codes: 0 success, 2 input error, 3 checkpoint/config mismatch,
 from __future__ import annotations
 
 import argparse
+import enum
 import hashlib
 import json
 import os
 import subprocess
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .continuous import OdeNet, PlanMode, XiForm, cache_to_json, solve_basis
+from .continuous import OdeNet, cache_to_json, solve_basis
 from .harness import (
     CompareEntry,
     EvalReport,
@@ -50,41 +52,35 @@ class CompatError(ValueError):
     """Checkpoint and config disagree (exit 3)."""
 
 
-DEFAULTS: dict = {
-    "method": "rope",
+# Keys outside the two dataclasses. compare reads them once for all runs,
+# so a runs entry may not set them.
+_SHARED_DEFAULTS = {
     "corpus": None,
     "split_fraction": 0.9,
-    "vocab": 256,
-    "n_layers": 2,
-    "n_heads": 4,
-    "d_model": 64,
-    "train_len": 128,
-    "t_train": 1.0,
-    "t_fixed": 1.0,
-    "xi_form": "log_derivative",
-    "steps_per_unit": 8,
-    "lambda_amp": 1,
-    "position_mode": "random",
-    "cache_factors": [1.0, 2.0, 4.0, 8.0],
-    "steps": 200,
-    "batch_size": 8,
-    "lr": 3e-4,
-    "beta1": 0.9,
-    "beta2": 0.95,
-    "eps": 1e-8,
-    "grad_clip": 1.0,
     "eval_lens": [128, 256, 512, 1024],
-    "seed": 0,
-    "precision": "float32",
     "out_dir": None,
+}
+# Every other key is a ModelConfig or TrainSettings field, and its default
+# there is its only definition: an enum is written as its value, a tuple as
+# a list.
+DEFAULTS: dict = {
+    **{
+        f.name: f.default.value if isinstance(f.default, enum.Enum)
+        else list(f.default) if isinstance(f.default, tuple) else f.default
+        for cls in (ModelConfig, TrainSettings) for f in fields(cls)
+    },
+    **_SHARED_DEFAULTS,
 }
 
 _RUN_ONLY_KEYS = {"label", "checkpoint"}
-# compare reads these once for all runs, so a runs entry may not set them.
-_SHARED_ONLY_KEYS = {"eval_lens", "corpus", "split_fraction", "out_dir"}
 
-_XI_FORMS = {f.value: f for f in XiForm}
-_PLAN_MODES = {m.value: m for m in PlanMode}
+# The JSON values that a default's type admits, and how an error names them.
+_JSON_TYPES = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+    type(None): ((str, type(None)), "null or a string"),
+}
 
 
 def resolve_config(doc: dict, allow_runs: bool = False) -> dict:
@@ -102,7 +98,7 @@ def resolve_config(doc: dict, allow_runs: bool = False) -> dict:
             bad = set(entry) - set(DEFAULTS) - _RUN_ONLY_KEYS
             if bad:
                 raise InputError(f"unknown keys in runs[{i}]: {sorted(bad)}")
-            shared = set(entry) & _SHARED_ONLY_KEYS
+            shared = set(entry) & _SHARED_DEFAULTS.keys()
             if shared:
                 raise InputError(f"runs[{i}] sets top-level-only keys {sorted(shared)}")
             checked.append(dict(entry))
@@ -138,56 +134,42 @@ def load_config_file(path, allow_runs: bool = False) -> dict:
     return resolve_config(doc, allow_runs=allow_runs)
 
 
+def _typed(key: str, value, default):
+    """A config value checked against the type of its default, so that no
+    value is truncated or reinterpreted: an int takes only a JSON integer, a
+    float an integer or a float, and neither a bool; a str takes a string
+    and a None default null or a string; an enum takes one of its values,
+    and a list or tuple a list of its first entry's type."""
+    if isinstance(default, enum.Enum):
+        values = sorted(m.value for m in type(default))
+        if value not in values:
+            raise ValueError(f"{key} must be one of {values}, got {value!r}")
+        return type(default)(value)
+    listed = isinstance(default, (list, tuple))
+    kind = type(default[0]) if listed else type(default)
+    types, name = _JSON_TYPES[kind]
+    entries = value if listed else [value]
+    if not isinstance(entries, list) or any(isinstance(v, bool) or not isinstance(v, types) for v in entries):
+        name = f"a list, each entry {name}" if listed else name
+        raise ValueError(f"{key} must be {name}, got {value!r}")
+    cast = float if kind is float else (lambda v: v)
+    return type(default)(map(cast, value)) if listed else cast(value)
+
+
 def split_config(cfg: dict) -> tuple[ModelConfig, TrainSettings]:
     """Typed model config and train settings from a resolved config, after
     checking every value, so bad input fails before any corpus load or
     training."""
     try:
-        model_cfg = ModelConfig(
-            vocab=int(cfg["vocab"]),
-            n_layers=int(cfg["n_layers"]),
-            n_heads=int(cfg["n_heads"]),
-            d_model=int(cfg["d_model"]),
-            train_len=int(cfg["train_len"]),
-            method=str(cfg["method"]),
-            t_train=float(cfg["t_train"]),
-            t_fixed=float(cfg["t_fixed"]),
-            seed=int(cfg["seed"]),
-        ).validate()
-        if cfg["xi_form"] not in _XI_FORMS:
-            raise ValueError(f"xi_form must be one of {sorted(_XI_FORMS)}")
-        if cfg["position_mode"] not in _PLAN_MODES:
-            raise ValueError(f"position_mode must be one of {sorted(_PLAN_MODES)}")
-        settings = TrainSettings(
-            steps=int(cfg["steps"]),
-            batch_size=int(cfg["batch_size"]),
-            lr=float(cfg["lr"]),
-            beta1=float(cfg["beta1"]),
-            beta2=float(cfg["beta2"]),
-            eps=float(cfg["eps"]),
-            grad_clip=float(cfg["grad_clip"]),
-            precision=str(cfg["precision"]),
-            xi_form=_XI_FORMS[cfg["xi_form"]],
-            steps_per_unit=int(cfg["steps_per_unit"]),
-            lambda_amp=int(cfg["lambda_amp"]),
-            position_mode=_PLAN_MODES[cfg["position_mode"]],
-            cache_factors=tuple(float(t) for t in cfg["cache_factors"]),
+        model_cfg, settings = (
+            cls(**{f.name: _typed(f.name, cfg[f.name], f.default) for f in fields(cls)}).validate()
+            for cls in (ModelConfig, TrainSettings)
         )
-        _ = settings.dtype
-        if settings.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {settings.steps}")
-        for key in ("batch_size", "steps_per_unit", "lambda_amp"):
-            if getattr(settings, key) < 1:
-                raise ValueError(f"{key} must be >= 1, got {getattr(settings, key)}")
-        factors = settings.cache_factors
-        ascending = all(b > a for a, b in zip(factors, factors[1:]))
-        if not factors or not factors[0] >= 1.0 or not ascending or not np.isfinite(factors).all():
-            raise ValueError(f"cache_factors must be finite, strictly ascending and >= 1, got {list(factors)}")
-        lens = cfg["eval_lens"]
-        if not isinstance(lens, list) or not all(
-            isinstance(n, int) and not isinstance(n, bool) and n >= 2 for n in lens
-        ):
-            raise ValueError(f"eval_lens must be a list of ints >= 2, got {lens!r}")
+        shared = {k: _typed(k, cfg[k], d) for k, d in _SHARED_DEFAULTS.items()}
+        if model_cfg.vocab < 256:
+            raise ValueError(f"vocab must be >= 256 to hold every byte of the corpus, got {model_cfg.vocab}")
+        if not all(n >= 2 for n in shared["eval_lens"]):
+            raise ValueError(f"eval_lens must all be >= 2, got {shared['eval_lens']}")
     except (TypeError, ValueError) as e:
         raise InputError(str(e)) from None
     return model_cfg, settings
@@ -244,7 +226,7 @@ def _load_run_corpus(cfg: dict, train_lens=(), eval_lens=()):
     if not path:
         raise InputError("config key 'corpus' is required")
     try:
-        corpus = load_corpus(path, float(cfg["split_fraction"]))
+        corpus = load_corpus(path, cfg["split_fraction"])
     except FileNotFoundError:
         raise InputError(f"corpus not found: {path}") from None
     except ValueError as e:
@@ -275,12 +257,8 @@ def write_loss_csv(run_dir: Path, trace) -> None:
 
 
 def checkpoint_extra(cfg: dict) -> dict:
-    model_keys = (
-        "vocab", "n_layers", "n_heads", "d_model", "train_len",
-        "method", "t_train", "t_fixed", "seed",
-    )
     return {
-        "model": {k: cfg[k] for k in model_keys},
+        "model": {f.name: cfg[f.name] for f in fields(ModelConfig)},
         "precision": cfg["precision"],
         "lambda_amp": cfg["lambda_amp"],
         "config_hash": config_hash(cfg),
@@ -368,9 +346,10 @@ def cmd_basis(args) -> int:
         raise InputError(f"--t expects comma-separated numbers, got {args.t!r}") from None
     if not methods or not t_values:
         raise InputError("need at least one method and one t value")
-    xi_form = _XI_FORMS.get(args.xi_form)
-    if xi_form is None:
-        raise InputError(f"xi_form must be one of {sorted(_XI_FORMS)}")
+    try:
+        xi_form = _typed("xi_form", args.xi_form, TrainSettings.xi_form)
+    except ValueError as e:
+        raise InputError(str(e)) from None
 
     net = None
     if "ode" in methods:
@@ -496,8 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma list from: identity,pi,yarn,codellama,ode")
     p_basis.add_argument("--t", default="1,2,4", help="comma list of scale factors")
     p_basis.add_argument("--checkpoint", default=None, help="dynamics weights for ode rows")
-    p_basis.add_argument("--xi-form", default="log_derivative")
-    p_basis.add_argument("--steps-per-unit", type=int, default=8)
+    p_basis.add_argument("--xi-form", default=DEFAULTS["xi_form"])
+    p_basis.add_argument("--steps-per-unit", type=int, default=DEFAULTS["steps_per_unit"])
     p_basis.add_argument("-o", "--out", default=None)
     p_basis.set_defaults(func=cmd_basis)
 

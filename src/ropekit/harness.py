@@ -124,9 +124,22 @@ class TrainSettings:
 
     @property
     def dtype(self):
+        return np.float32 if self.precision == "float32" else np.float64
+
+    def validate(self) -> "TrainSettings":
         if self.precision not in ("float32", "float64"):
             raise ValueError(f"precision must be float32 or float64, got {self.precision}")
-        return np.float32 if self.precision == "float32" else np.float64
+        for key in ("steps", "batch_size", "steps_per_unit", "lambda_amp"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
+        for key in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, key) < 1.0:
+                raise ValueError(f"{key} must be in [0, 1), got {getattr(self, key)}")
+        factors = self.cache_factors
+        ascending = all(b > a for a, b in zip(factors, factors[1:]))
+        if not factors or not factors[0] >= 1.0 or not ascending or not np.isfinite(factors).all():
+            raise ValueError(f"cache_factors must be finite, strictly ascending and >= 1, got {list(factors)}")
+        return self
 
 
 @dataclass
@@ -148,6 +161,7 @@ def train(cfg: ModelConfig, settings: TrainSettings, corpus: Corpus) -> TrainRes
     """Train one model from scratch. Every random draw comes from a single
     generator seeded by cfg.seed, so runs are bit-reproducible."""
     cfg.validate()
+    settings.validate()
     dtype = settings.dtype
     rng = np.random.default_rng(cfg.seed)
     params = init_params(cfg, dtype=dtype, rng=rng)
@@ -367,6 +381,7 @@ def evaluate(
     apply the log attention-scaling trick, and score all validation windows.
     """
     cfg.validate()
+    settings.validate()
     params = _as_param_tensors(params)
     label = label or cfg.method
     session = None

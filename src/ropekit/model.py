@@ -58,6 +58,8 @@ class ModelConfig:
         for t in (self.t_train, self.t_fixed):
             if not (math.isfinite(t) and t >= 1.0):
                 raise ValueError(f"scale factors must be finite and >= 1, got {t}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         return self
 
 

@@ -1,10 +1,15 @@
+import contextlib
 import csv
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ropekit.cli import main
+from ropekit.cli import DEFAULTS, main
 from ropekit.harness import write_demo_corpus
 from ropekit.rotary import default_basis
 from ropekit.scaling import alpha_yarn
@@ -76,15 +81,73 @@ def test_train_unknown_key_exits_2(tmp_path, capsys):
     ({"steps_per_unit": 0}, "steps_per_unit must"),
     ({"lambda_amp": 0}, "lambda_amp must"),
     ({"method": "ode", "d_model": 8, "n_heads": 4}, "head dim must be >= 4 for method ode"),
+    ({"steps": 2.5}, "steps must"),
+    ({"train_len": 40.9}, "train_len must"),
+    ({"d_model": 16.0}, "d_model must"),
+    ({"steps": True}, "steps must"),
+    ({"cache_factors": "12"}, "cache_factors must"),
+    ({"cache_factors": [True, 2]}, "cache_factors must"),
+    ({"corpus": 7}, "corpus must"),
+    ({"corpus": True}, "corpus must"),
+    ({"split_fraction": None}, "split_fraction must"),
+    ({"split_fraction": [1]}, "split_fraction must"),
+    ({"out_dir": 5}, "out_dir must"),
+    ({"vocab": 100}, "vocab must"),
+    ({"seed": -1}, "seed must"),
+    ({"beta1": 1.0}, "beta1 must"),
+    ({"beta2": 1.0}, "beta2 must"),
 ], ids=["steps", "batch_size", "eval_len_1", "eval_len_float", "eval_lens_str",
         "cache_descending", "cache_below_1", "cache_inf", "n_heads", "n_layers", "d_model",
-        "steps_per_unit", "lambda_amp", "ode_head_dim_2"])
+        "steps_per_unit", "lambda_amp", "ode_head_dim_2",
+        "steps_fraction", "train_len_fraction", "d_model_integral_float", "steps_bool",
+        "cache_str", "cache_bool_entry", "corpus_int", "corpus_bool", "split_fraction_null",
+        "split_fraction_list", "out_dir_int", "vocab_below_256", "seed_negative",
+        "beta1_1", "beta2_1"])
 def test_bad_config_value_exits_2_before_corpus_load(tmp_path, capsys, doc, message):
     # the corpus is absent, so only a check made before loading it can name the key
     cfg = write_config(tmp_path, {"corpus": str(tmp_path / "absent.bin"), **doc})
     assert main(["train", "-c", str(cfg), "-o", str(tmp_path / "runs")]) == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
+
+
+# JSON values by kind, and the kinds that each default's type admits; a key's
+# type is the type of its DEFAULTS entry (a list's, that of its first entry)
+_JSON_VALUES = {
+    "bool": st.booleans(),
+    "int": st.integers(-10**6, 10**6),
+    "float": st.one_of(st.integers(-1000, 1000).map(float),
+                       st.floats(-1e6, 1e6).filter(lambda x: not x.is_integer())),
+    "str": st.text(max_size=8),
+    "null": st.none(),
+    "list": st.lists(st.integers(0, 9), max_size=3),
+    "object": st.dictionaries(st.text(max_size=3), st.integers(0, 9), max_size=2),
+}
+_ADMITS = {int: {"int"}, float: {"int", "float"}, str: {"str"}, type(None): {"str", "null"}, list: {"list"}}
+
+
+def wrong_json_type(default):
+    kinds = [values for kind, values in _JSON_VALUES.items() if kind not in _ADMITS[type(default)]]
+    if isinstance(default, list):
+        kinds.append(st.lists(wrong_json_type(default[0]), min_size=1, max_size=3))
+    return st.one_of(kinds)
+
+
+@pytest.mark.parametrize("key", sorted(DEFAULTS))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_wrong_json_type_exits_2_before_corpus_load(key, data):
+    value = data.draw(wrong_json_type(DEFAULTS[key]), label=key)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        cfg = write_config(tmp, {"corpus": str(tmp / "absent.bin"), key: value})
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["train", "-c", str(cfg), "-o", str(tmp / "runs")])
+        assert code == 2
+        assert err.getvalue().startswith(f"error: {key} must")
+        assert "Traceback" not in err.getvalue()
+        assert not (tmp / "runs").exists()
 
 
 def test_train_corpus_shorter_than_train_len_exits_2(tmp_path, capsys, corpus_file):
@@ -312,8 +375,9 @@ def test_basis_odd_dim_exits_2(tmp_path, capsys):
     ["-d", "2", "--methods", "ode", "--t", "1"],
     ["-d", "8", "--methods", "ode", "--t", "inf"],
     ["-d", "8", "--methods", "yarn", "--t", "nan"],
+    ["-d", "8", "--methods", "ode", "--xi-form", "bogus"],
 ], ids=["missing_checkpoint", "t_not_a_number", "ode_t_below_1", "ode_head_dim_2",
-        "ode_t_inf", "yarn_t_nan"])
+        "ode_t_inf", "yarn_t_nan", "xi_form_unknown"])
 def test_basis_bad_input_exits_2(tmp_path, capsys, argv):
     assert main(["basis", *(a.format(tmp=tmp_path) for a in argv)]) == 2
     err = capsys.readouterr().err

@@ -175,6 +175,21 @@ def test_train_aborts_on_nonfinite(text_corpus):
         train(cfg, tiny_settings(steps=3, lr=float("nan")), text_corpus)
 
 
+@pytest.mark.parametrize("kw, message", [
+    ({"steps": 0}, "steps must be >= 1"),
+    ({"beta1": 1.0}, r"beta1 must be in \[0, 1\)"),
+    ({"cache_factors": (2.0, 1.0)}, "cache_factors must"),
+    ({"precision": "float16"}, "precision must"),
+], ids=["steps_0", "beta1_1", "cache_descending", "precision"])
+def test_train_and_evaluate_validate_settings(text_corpus, kw, message):
+    # library callers get the same checks as the command line
+    cfg = tiny_cfg()
+    with pytest.raises(ValueError, match=message):
+        train(cfg, tiny_settings(**kw), text_corpus)
+    with pytest.raises(ValueError, match=message):
+        evaluate(init_params(cfg), cfg, tiny_settings(**kw), text_corpus, [32])
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 

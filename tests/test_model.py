@@ -34,6 +34,8 @@ def test_config_validation():
         ModelConfig(method="alibi").validate()
     with pytest.raises(ValueError):
         ModelConfig(t_train=0.5).validate()
+    with pytest.raises(ValueError, match="seed must"):
+        ModelConfig(seed=-1).validate()  # np.random.default_rng rejects it
     cfg = ModelConfig(d_model=64, n_heads=4).validate()
     assert cfg.d_head == 16
 
