@@ -4,8 +4,10 @@ Dynamic tape: each operation records a backward closure on its output node
 and backward() replays the closures in reverse topological order. Two
 precision modes are supported (float32 for training, float64 for
 verification) and are kept strictly separate: mixing dtypes in one op is an
-error. The elementwise ops broadcast only scalar-with-tensor and equal-shape
-operands; the layer kernels broadcast internally.
+error. The elementwise ops take operands of equal shape only; matmul applies a
+matrix to the last axis of a tensor of any rank; the layer kernels broadcast
+internally. backward() leaves a gradient on the leaves only: intermediate
+flows are dropped as soon as they have been propagated.
 
 Each job is one op and one tape node with one hand-written VJP: rotate_pairs
 applies the rotary transform, rms_norm normalizes, and causal_softmax scales,
@@ -46,9 +48,10 @@ def set_debug_checks(on: bool) -> None:
 class Tensor:
     """A dense array node in the autodiff graph.
 
-    data is always a contiguous float32 or float64 numpy array. grad, once
-    populated by backward(), has the same shape and dtype and accumulates
-    additively across backward calls until cleared.
+    data is always a contiguous float32 or float64 numpy array. grad is set by
+    backward() on leaves only (tensors that no op produced), has the same
+    shape and dtype and accumulates additively across backward calls until
+    cleared.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -118,39 +121,25 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
     _FLOWS[id(t)] = g if cur is None else cur + g
 
 
-def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a gradient down to a (scalar-broadcast) operand shape."""
-    if g.shape == shape:
-        return g
-    return np.asarray(g.sum(dtype=g.dtype)).reshape(shape)
-
-
 def _check_dtypes(a: Tensor, b: Tensor) -> None:
     if a.data.dtype != b.data.dtype:
         raise TypeError(f"dtype mismatch: {a.data.dtype.name} vs {b.data.dtype.name}")
 
 
-def _coerce_pair(a, b) -> tuple[Tensor, Tensor]:
-    # Bare python numbers adopt the other operand's dtype.
-    if isinstance(a, Tensor) and not isinstance(b, Tensor):
-        b = constant(b, dtype=a.data.dtype)
-    elif isinstance(b, Tensor) and not isinstance(a, Tensor):
-        a = constant(a, dtype=b.data.dtype)
-    else:
-        a, b = as_tensor(a), as_tensor(b)
+def _equal_pair(a, b) -> tuple[Tensor, Tensor]:
+    a, b = as_tensor(a), as_tensor(b)
     _check_dtypes(a, b)
-    if a.shape != b.shape and a.size != 1 and b.size != 1:
-        raise ValueError(
-            f"incompatible shapes {a.shape} and {b.shape}: only scalar-with-tensor "
-            "and equal-shape broadcasting is supported"
-        )
+    if a.shape != b.shape:
+        raise ValueError(f"incompatible shapes {a.shape} and {b.shape}: operands must have equal shapes")
     return a, b
 
 
 def backward(root: Tensor) -> None:
-    """Accumulate d(root)/dx into .grad for every reachable requires_grad node.
+    """Accumulate d(root)/dx into .grad for every reachable requires_grad leaf.
 
-    Repeated calls without zeroing add on top of existing gradients.
+    Repeated calls without zeroing add on top of existing gradients. Nodes
+    that an op produced get no .grad: each one's flow is dropped once its
+    closure has passed it on.
     """
     global _FLOWS
     if root.size != 1:
@@ -162,9 +151,10 @@ def backward(root: Tensor) -> None:
     _FLOWS = flows
     try:
         for node in reversed(order):
-            g = flows.get(id(node))
-            if g is not None and node._backward is not None:
-                node._backward(g)
+            if node._parents:
+                g = flows.pop(id(node), None)
+                if g is not None:
+                    node._backward(g)
     finally:
         _FLOWS = None
     for node in order:
@@ -200,30 +190,30 @@ def _toposort(root: Tensor) -> list[Tensor]:
 
 
 def add(a, b) -> Tensor:
-    a, b = _coerce_pair(a, b)
+    a, b = _equal_pair(a, b)
     out = _node(a.data + b.data, (a, b))
     if out.requires_grad:
 
         def bw(g):
             if a.requires_grad:
-                _accum(a, _reduce_to(g, a.shape))
+                _accum(a, g)
             if b.requires_grad:
-                _accum(b, _reduce_to(g, b.shape))
+                _accum(b, g)
 
         out._backward = bw
     return out
 
 
 def mul(a, b) -> Tensor:
-    a, b = _coerce_pair(a, b)
+    a, b = _equal_pair(a, b)
     out = _node(a.data * b.data, (a, b))
     if out.requires_grad:
 
         def bw(g):
             if a.requires_grad:
-                _accum(a, _reduce_to(g * b.data, a.shape))
+                _accum(a, g * b.data)
             if b.requires_grad:
-                _accum(b, _reduce_to(g * a.data, b.shape))
+                _accum(b, g * a.data)
 
         out._backward = bw
     return out
@@ -282,21 +272,26 @@ def silu(x) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product; operands of equal rank >= 2 with equal leading dims."""
+    """Matrix product over the last two axes. b is either a [k, n] weight,
+    applied to a[..., k] of any rank >= 2 as one 2-D product over the folded
+    leading axes, or a stack of matrices with a's rank and leading dims."""
     a, b = as_tensor(a), as_tensor(b)
     _check_dtypes(a, b)
-    if a.ndim < 2 or b.ndim < 2 or a.ndim != b.ndim:
-        raise ValueError(f"matmul ranks must match and be >= 2, got {a.shape} x {b.shape}")
-    if a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
+    if a.ndim < 2 or b.ndim < 2 or (b.ndim > 2 and a.shape[:-2] != b.shape[:-2]):
+        raise ValueError(f"matmul needs a [k, n] right operand or equal leading dims, got {a.shape} x {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
         raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    out = _node(np.matmul(a.data, b.data), (a, b))
+    fold = b.ndim == 2
+    a2 = a.data.reshape(-1, a.shape[-1]) if fold else a.data
+    out = _node(np.matmul(a2, b.data).reshape(a.shape[:-1] + b.shape[-1:]), (a, b))
     if out.requires_grad:
 
         def bw(g):
+            g2 = g.reshape(-1, g.shape[-1]) if fold else g
             if a.requires_grad:
-                _accum(a, np.matmul(g, b.data.swapaxes(-1, -2)))
+                _accum(a, np.matmul(g2, b.data.swapaxes(-1, -2)).reshape(a.shape))
             if b.requires_grad:
-                _accum(b, np.matmul(a.data.swapaxes(-1, -2), g))
+                _accum(b, np.matmul(a2.swapaxes(-1, -2), g2))
 
         out._backward = bw
     return out
@@ -464,36 +459,29 @@ def causal_softmax(scores, scale: float) -> Tensor:
     return out
 
 
-def softmax_cross_entropy(logits, targets, mask=None) -> Tensor:
-    """Mean negative log-likelihood of integer targets over unmasked positions.
+def softmax_cross_entropy(logits, targets) -> Tensor:
+    """Mean negative log-likelihood of integer targets over all positions.
 
-    logits: [..., V]; targets: integer array of logits.shape[:-1]; mask: bool
-    array of the same shape as targets or None for all-on. Stabilized by
-    rowwise max subtraction.
+    logits: [..., V]; targets: integer array of logits.shape[:-1].
+    Stabilized by rowwise max subtraction.
     """
     logits = as_tensor(logits)
     targets = np.asarray(targets)
     vocab = logits.shape[-1]
     if targets.shape != logits.shape[:-1]:
         raise ValueError(f"targets shape {targets.shape} != {logits.shape[:-1]}")
-    if targets.size and (targets.min() < 0 or targets.max() >= vocab):
+    if targets.size == 0:
+        raise ValueError("no positions to average over")
+    if targets.min() < 0 or targets.max() >= vocab:
         raise IndexError(f"target out of vocabulary range [0, {vocab})")
-    if mask is None:
-        mask = np.ones(targets.shape, dtype=bool)
-    else:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != targets.shape:
-            raise ValueError("mask shape must match targets")
-    count = int(mask.sum())
-    if count == 0:
-        raise ValueError("no unmasked positions to average over")
+    count = targets.size
 
     z = logits.data
     zmax = z.max(axis=-1, keepdims=True)
     ez = np.exp(z - zmax)
     sez = ez.sum(axis=-1, keepdims=True)
     logp_t = np.take_along_axis(z - zmax - np.log(sez), targets[..., None], axis=-1)[..., 0]
-    loss = np.asarray((-logp_t * mask).sum(dtype=z.dtype) / z.dtype.type(count))
+    loss = np.asarray((-logp_t).sum(dtype=z.dtype) / z.dtype.type(count))
     out = _node(loss, (logits,))
     if out.requires_grad:
 
@@ -501,10 +489,10 @@ def softmax_cross_entropy(logits, targets, mask=None) -> Tensor:
             p = ez / sez
             np.subtract.at(
                 p.reshape(-1, vocab),
-                (np.arange(targets.size), targets.reshape(-1)),
+                (np.arange(count), targets.reshape(-1)),
                 z.dtype.type(1),
             )
-            p *= (mask[..., None] / count).astype(z.dtype)
+            p *= z.dtype.type(1.0 / count)
             _accum(logits, p * g)
 
         out._backward = bw

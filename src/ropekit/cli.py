@@ -115,7 +115,7 @@ def apply_overrides(cfg: dict, sets: list[str] | None) -> dict:
             raise InputError(f"unknown config key in --set: {key!r}")
         try:
             value = json.loads(raw)
-        except json.JSONDecodeError:
+        except ValueError:  # not JSON, or an integer too long to convert
             value = raw
         cfg[key] = value
     return cfg
@@ -127,7 +127,7 @@ def load_config_file(path, allow_runs: bool = False) -> dict:
         raise InputError(f"config not found: {p}")
     try:
         doc = json.loads(p.read_text())
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # not JSON, or an integer too long to convert
         raise InputError(f"config is not valid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise InputError("config must be a JSON object")
@@ -137,7 +137,8 @@ def load_config_file(path, allow_runs: bool = False) -> dict:
 def _typed(key: str, value, default):
     """A config value checked against the type of its default, so that no
     value is truncated or reinterpreted: an int takes only a JSON integer, a
-    float an integer or a float, and neither a bool; a str takes a string
+    float an integer or a float, and neither a bool; an integer must fit in
+    int64 and a float key's integer in a float; a str takes a string
     and a None default null or a string; an enum takes one of its values,
     and a list or tuple a list of its first entry's type."""
     if isinstance(default, enum.Enum):
@@ -152,8 +153,14 @@ def _typed(key: str, value, default):
     if not isinstance(entries, list) or any(isinstance(v, bool) or not isinstance(v, types) for v in entries):
         name = f"a list, each entry {name}" if listed else name
         raise ValueError(f"{key} must be {name}, got {value!r}")
-    cast = float if kind is float else (lambda v: v)
-    return type(default)(map(cast, value)) if listed else cast(value)
+    if kind is int and not all(-2**63 <= v < 2**63 for v in entries):
+        raise ValueError(f"{key} must be an integer in the signed 64-bit range, got {value!r}")
+    if kind is float:
+        try:
+            entries = [float(v) for v in entries]
+        except OverflowError:
+            raise ValueError(f"{key} must be a number that a float can hold, got {value!r}") from None
+    return type(default)(entries) if listed else entries[0]
 
 
 def split_config(cfg: dict) -> tuple[ModelConfig, TrainSettings]:

@@ -33,7 +33,7 @@ from .scaling import alpha, scale_basis
 
 
 class NumericalAbort(RuntimeError):
-    """Training hit a non-finite loss."""
+    """Training hit a non-finite loss or gradient norm."""
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +206,11 @@ def train(cfg: ModelConfig, settings: TrainSettings, corpus: Corpus) -> TrainRes
                 f"non-finite loss {loss_val} at step {step} (method={cfg.method})"
             )
         ad.backward(loss)
-        opt.step()
+        grad_norm = opt.step()
+        if not math.isfinite(grad_norm):
+            raise NumericalAbort(
+                f"non-finite gradient norm {grad_norm} at step {step} (method={cfg.method})"
+            )
         opt.zero_grad()
         trace.append(StepRecord(step, loss_val, t_prime))
         if settings.steps >= 1000 and (step + 1) % 500 == 0:

@@ -96,13 +96,6 @@ def rmsnorm(x: Tensor, gain: Tensor) -> Tensor:
     return ad.rms_norm(x, gain, RMS_EPS)
 
 
-def _project(x: Tensor, w: Tensor) -> Tensor:
-    """[..., d_in] @ [d_in, d_out] via a flattening matmul."""
-    lead = x.shape[:-1]
-    flat = ad.reshape(x, (int(np.prod(lead)), x.shape[-1]))
-    return ad.reshape(ad.matmul(flat, w), lead + (w.shape[-1],))
-
-
 def _split_heads(x: Tensor, n_heads: int) -> Tensor:
     b, s, d = x.shape
     return ad.transpose(ad.reshape(x, (b, s, n_heads, d // n_heads)), (0, 2, 1, 3))
@@ -120,51 +113,40 @@ def forward(
     real-valued positions using the given frequency basis.
 
     attn_scale_mult multiplies the pre-softmax scores after the standard
-    1/sqrt(d_head) factor. tokens may also be a pre-embedded [B, S, d_model]
-    Tensor (the gather step is skipped).
+    1/sqrt(d_head) factor.
     """
     emb = params["tok_emb"]
-    dtype = emb.dtype
-    if isinstance(tokens, Tensor):
-        x = tokens
-        if x.ndim != 3 or x.shape[-1] != cfg.d_model:
-            raise ValueError(f"embedded input must be [batch, seq, d_model], got {x.shape}")
-        b, s = x.shape[0], x.shape[1]
-    else:
-        tokens = np.asarray(tokens)
-        if tokens.ndim != 2:
-            raise ValueError(f"tokens must be [batch, seq], got shape {tokens.shape}")
-        b, s = tokens.shape
-        x = ad.gather_rows(emb, tokens)
+    tokens = np.asarray(tokens)
+    if tokens.ndim != 2:
+        raise ValueError(f"tokens must be [batch, seq], got shape {tokens.shape}")
+    b, s = tokens.shape
+    x = ad.gather_rows(emb, tokens)
     positions = np.asarray(positions, dtype=np.float64)
     if positions.shape != (s,):
         raise ValueError(f"positions shape {positions.shape} != sequence length {s}")
     if s > 1 and not np.all(np.diff(positions) > 0):
         raise ValueError("positions must be strictly increasing")
 
-    theta = theta_tensor(basis, dtype)
+    theta = theta_tensor(basis, emb.dtype)
 
     h_count, d_head = cfg.n_heads, cfg.d_head
     score_scale = float(attn_scale_mult) / math.sqrt(d_head)
     for i in range(cfg.n_layers):
         p = f"layers.{i}."
         pre = rmsnorm(x, params[p + "attn_norm"])
-        q = _split_heads(_project(pre, params[p + "wq"]), h_count)
-        k = _split_heads(_project(pre, params[p + "wk"]), h_count)
-        v = _split_heads(_project(pre, params[p + "wv"]), h_count)
+        q = _split_heads(ad.matmul(pre, params[p + "wq"]), h_count)
+        k = _split_heads(ad.matmul(pre, params[p + "wk"]), h_count)
+        v = _split_heads(ad.matmul(pre, params[p + "wv"]), h_count)
         q = rotate_sequences(q, positions, theta)
         k = rotate_sequences(k, positions, theta)
         att = ad.causal_softmax(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), score_scale)
         ctx = ad.reshape(ad.transpose(ad.matmul(att, v), (0, 2, 1, 3)), (b, s, cfg.d_model))
-        x = ad.add(x, _project(ctx, params[p + "wo"]))
+        x = ad.add(x, ad.matmul(ctx, params[p + "wo"]))
         pre = rmsnorm(x, params[p + "mlp_norm"])
-        x = ad.add(x, _project(ad.silu(_project(pre, params[p + "w1"])), params[p + "w2"]))
+        x = ad.add(x, ad.matmul(ad.silu(ad.matmul(pre, params[p + "w1"])), params[p + "w2"]))
 
     x = rmsnorm(x, params["final_norm"])
-    logits = ad.matmul(
-        ad.reshape(x, (b * s, cfg.d_model)), ad.transpose(emb, (1, 0))
-    )
-    return ad.reshape(logits, (b, s, cfg.vocab))
+    return ad.matmul(x, ad.transpose(emb, (1, 0)))
 
 
 def log_scale_mult(train_len: int, test_len: int) -> float:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .autodiff import Tensor
@@ -9,12 +11,13 @@ from .autodiff import Tensor
 
 def clip_grad_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
     """Scale all gradients so the global l2 norm is at most max_norm.
-    Returns the pre-clip norm."""
+    Returns the pre-clip norm; a non-finite norm leaves the gradients as
+    they are."""
     total = 0.0
     for g in grads.values():
         total += float(np.sum(g.astype(np.float64) ** 2))
     norm = float(np.sqrt(total))
-    if max_norm > 0 and norm > max_norm:
+    if max_norm > 0 and math.isfinite(norm) and norm > max_norm:
         factor = max_norm / norm
         for g in grads.values():
             g *= g.dtype.type(factor)
@@ -39,11 +42,14 @@ class Adam:
 
     def step(self) -> float:
         """One clipped, bias-corrected update. Returns the pre-clip global
-        gradient norm."""
+        gradient norm. A non-finite norm is returned at once, before the
+        moments, the step count or any parameter change."""
         grads = {}
         for name, p in self.params.items():
             grads[name] = p.grad if p.grad is not None else np.zeros_like(p.data)
         norm = clip_grad_norm(grads, self.grad_clip)
+        if not math.isfinite(norm):
+            return norm
         self.step_count += 1
         c1 = 1.0 - self.beta1**self.step_count
         c2 = 1.0 - self.beta2**self.step_count

@@ -1,7 +1,6 @@
 """Discrete position-embedding scaling: the per-dimension basis multiplier
-family (identity, constant 1/t, geometric, fixed base retuning), the one
-dispatch from a method name to its multiplier, and the progressive chain of
-log bases connecting discrete scale factors."""
+family (identity, constant 1/t, geometric, fixed base retuning) and the one
+dispatch from a method name to its multiplier."""
 
 from __future__ import annotations
 
@@ -51,19 +50,6 @@ def scale_basis(basis: FrequencyBasis, alpha: np.ndarray) -> FrequencyBasis:
     if not np.all(alpha > 0):
         raise ValueError("alpha entries must be positive")
     return FrequencyBasis(basis.theta * alpha, basis.head_dim, basis.base)
-
-
-def chain_step(z_prev: np.ndarray, alpha_prev: np.ndarray, alpha_next: np.ndarray) -> np.ndarray:
-    """One step of the progressive chain over log bases:
-    z_next = z_prev + log(a_next/a_prev)."""
-    z_prev = np.asarray(z_prev, dtype=np.float64)
-    alpha_prev = np.asarray(alpha_prev, dtype=np.float64)
-    alpha_next = np.asarray(alpha_next, dtype=np.float64)
-    if alpha_prev.shape != z_prev.shape or alpha_next.shape != z_prev.shape:
-        raise ValueError("alpha shapes must match the log basis")
-    if not (np.all(alpha_prev > 0) and np.all(alpha_next > 0)):
-        raise ValueError("alpha entries must be positive")
-    return z_prev + np.log(alpha_next / alpha_prev)
 
 
 PROFILE_METHODS = ("identity", "pi", "yarn", "codellama")

@@ -60,6 +60,20 @@ def test_train_missing_corpus_exits_2(tmp_path, capsys):
     assert "corpus not found" in capsys.readouterr().err
 
 
+def test_integer_too_long_to_parse_exits_2(tmp_path, capsys):
+    # json refuses to convert an integer of more than 4300 digits with a
+    # ValueError that is not a JSONDecodeError
+    digits = "1" * 5000
+    cfg = tmp_path / "config.json"
+    cfg.write_text(f'{{"corpus": "absent.bin", "steps": {digits}}}')
+    assert main(["train", "-c", str(cfg), "-o", str(tmp_path / "runs")]) == 2
+    assert "error: config is not valid JSON" in capsys.readouterr().err
+    cfg = write_config(tmp_path, {"corpus": "absent.bin"})
+    assert main(["train", "-c", str(cfg), "-o", str(tmp_path / "runs"), "--set", f"steps={digits}"]) == 2
+    assert "error: steps must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_train_unknown_key_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, {"corpsu": "x"})
     assert main(["train", "-c", str(cfg), "-o", str(tmp_path / "runs")]) == 2
@@ -96,13 +110,15 @@ def test_train_unknown_key_exits_2(tmp_path, capsys):
     ({"seed": -1}, "seed must"),
     ({"beta1": 1.0}, "beta1 must"),
     ({"beta2": 1.0}, "beta2 must"),
+    ({"t_train": 10**400}, "t_train must be a number that a float can hold"),
+    ({"d_model": 10**30, "n_heads": 1}, "d_model must be an integer in the signed 64-bit range"),
 ], ids=["steps", "batch_size", "eval_len_1", "eval_len_float", "eval_lens_str",
         "cache_descending", "cache_below_1", "cache_inf", "n_heads", "n_layers", "d_model",
         "steps_per_unit", "lambda_amp", "ode_head_dim_2",
         "steps_fraction", "train_len_fraction", "d_model_integral_float", "steps_bool",
         "cache_str", "cache_bool_entry", "corpus_int", "corpus_bool", "split_fraction_null",
         "split_fraction_list", "out_dir_int", "vocab_below_256", "seed_negative",
-        "beta1_1", "beta2_1"])
+        "beta1_1", "beta2_1", "t_train_401_digits", "d_model_beyond_int64"])
 def test_bad_config_value_exits_2_before_corpus_load(tmp_path, capsys, doc, message):
     # the corpus is absent, so only a check made before loading it can name the key
     cfg = write_config(tmp_path, {"corpus": str(tmp_path / "absent.bin"), **doc})

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ropekit import autodiff as ad
 from ropekit.continuous import PlanMode, position_plan, solve
 from ropekit.harness import (
     CompareEntry,
@@ -173,6 +174,27 @@ def test_train_aborts_on_nonfinite(text_corpus):
     cfg = tiny_cfg(seed=4)
     with pytest.raises(NumericalAbort):
         train(cfg, tiny_settings(steps=3, lr=float("nan")), text_corpus)
+
+
+def test_train_aborts_on_nonfinite_grad_norm_before_updating(text_corpus, monkeypatch):
+    # A nan gradient with a finite loss on the last step: Adam would skip the
+    # clip and write nan into every weight, and the run would save them.
+    real_backward = ad.backward
+    snapshots = []
+
+    def poisoned(root):
+        real_backward(root)
+        leaves = [n for n in ad._toposort(root) if n.requires_grad and not n._parents]
+        snapshots.append([(leaf, leaf.data.copy()) for leaf in leaves])
+        if len(snapshots) == 2:
+            leaves[0].grad.flat[0] = np.nan
+
+    monkeypatch.setattr(ad, "backward", poisoned)
+    with pytest.raises(NumericalAbort, match="non-finite gradient norm nan at step 1"):
+        train(tiny_cfg(seed=5), tiny_settings(steps=2), text_corpus)
+    assert len(snapshots) == 2
+    for leaf, before in snapshots[-1]:
+        assert np.array_equal(leaf.data, before)
 
 
 @pytest.mark.parametrize("kw, message", [

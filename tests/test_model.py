@@ -86,24 +86,81 @@ def test_causality_future_permutation_exact():
     assert np.array_equal(a[:, : j + 1, :], b[:, : j + 1, :])
 
 
-def test_causality_gradients_exactly_zero():
+def test_causality_gradients_exactly_zero(monkeypatch):
     cfg = tiny_cfg()
     params = init_params(cfg, dtype=np.float64)
     basis = default_basis(cfg.d_head)
     rng = np.random.default_rng(1)
     toks = rng.integers(0, cfg.vocab, size=(2, 8))
-    embedded = ad.gather_rows(params["tok_emb"], toks)
+    # the embedding lookup returns a leaf of its own, so backward leaves the
+    # gradient with respect to each embedded position on it
+    embedded = Tensor(params["tok_emb"].data[toks], requires_grad=True)
+    monkeypatch.setattr(ad, "gather_rows", lambda table, index: embedded)
     j = 3
-    logits = forward(params, cfg, embedded, natural(8), basis)
-    targets = rng.integers(0, cfg.vocab, size=(2, 8))
-    mask = np.zeros((2, 8), dtype=bool)
-    mask[:, j] = True
-    loss = ad.softmax_cross_entropy(logits, targets, mask)
-    ad.backward(loss)
+    logits = forward(params, cfg, toks, natural(8), basis)
+    w = np.zeros(logits.shape)
+    w[:, j, :] = rng.normal(size=(2, cfg.vocab))
+    ad.backward(ad.sum_all(ad.mul(logits, ad.constant(w))))
     future = embedded.grad[:, j + 1 :, :]
     past = embedded.grad[:, : j + 1, :]
     assert np.all(future == 0.0)
     assert np.any(past != 0.0)
+
+
+def _op(node):
+    return node._backward.__qualname__.split(".")[0] if node._backward else None
+
+
+def test_projections_are_one_tape_node():
+    # each weight multiplies its whole [B, S, d_in] input in one matmul node,
+    # with no flattening reshape on either side, and so does the tied head;
+    # the shape is criterion 7's
+    cfg = ModelConfig(n_layers=2, n_heads=4, d_model=64, train_len=128).validate()
+    params = init_params(cfg)
+    toks, targets = np.random.default_rng(5).integers(0, cfg.vocab, size=(2, 8, 128))
+    logits = forward(params, cfg, toks, natural(128), default_basis(cfg.d_head))
+    nodes = ad._toposort(ad.softmax_cross_entropy(logits, targets))
+    for i in range(cfg.n_layers):
+        for name in ("wq", "wk", "wv", "wo", "w1", "w2"):
+            weight = params[f"layers.{i}.{name}"]
+            (proj,) = [n for n in nodes if any(p is weight for p in n._parents)]
+            x, w = proj._parents
+            assert _op(proj) == "matmul" and w is weight
+            assert x.shape == (8, 128, weight.shape[0])
+            assert proj.shape == (8, 128, weight.shape[1])
+    x, head = logits._parents
+    assert _op(logits) == "matmul" and logits.shape == (8, 128, cfg.vocab)
+    assert _op(x) == "rms_norm" and x.shape == (8, 128, cfg.d_model)
+    assert _op(head) == "transpose" and head._parents == (params["tok_emb"],)
+    assert sum(n._backward is not None for n in nodes) == 55
+
+
+def test_backward_keeps_grads_on_leaves_only(monkeypatch):
+    # Only leaves get a .grad, and each equals the sum of the flows that the
+    # closures pass it, which is what backward gave when every node kept one.
+    cfg = tiny_cfg()
+    params = init_params(cfg, dtype=np.float32)
+    theta = Tensor(default_basis(cfg.d_head).theta.astype(np.float32), requires_grad=True)
+    rng = np.random.default_rng(2)
+    toks, targets = rng.integers(0, cfg.vocab, size=(2, 3, 7))
+    loss = ad.softmax_cross_entropy(forward(params, cfg, toks, natural(7), theta), targets)
+    ad.backward(loss)
+
+    order = ad._toposort(loss)
+    flows = {id(loss): np.ones_like(loss.data)}
+
+    def keep(t, g):
+        flows[id(t)] = g if id(t) not in flows else flows[id(t)] + g
+
+    monkeypatch.setattr(ad, "_accum", keep)
+    for node in reversed(order):
+        if node._backward is not None and id(node) in flows:
+            node._backward(flows[id(node)])
+    leaves = [n for n in order if not n._parents]
+    assert len(leaves) == len(params) + 1
+    assert all(n.grad is None for n in order if n._parents)
+    for leaf in leaves:
+        assert np.array_equal(leaf.grad, flows[id(leaf)])
 
 
 def test_attention_weights_are_one_tape_node():
@@ -113,16 +170,12 @@ def test_attention_weights_are_one_tape_node():
     params = init_params(cfg, dtype=np.float64)
     toks = np.random.default_rng(1).integers(0, cfg.vocab, size=(2, 6))
     nodes = ad._toposort(forward(params, cfg, toks, natural(6), default_basis(cfg.d_head)))
-
-    def op(node):
-        return node._backward.__qualname__.split(".")[0] if node._backward else None
-
-    att = [n for n in nodes if op(n) == "causal_softmax"]
+    att = [n for n in nodes if _op(n) == "causal_softmax"]
     assert len(att) == cfg.n_layers
     for a in att:
-        assert [op(p) for p in a._parents] == ["matmul"]
+        assert [_op(p) for p in a._parents] == ["matmul"]
         consumers = [n for n in nodes if any(p is a for p in n._parents)]
-        assert [op(n) for n in consumers] == ["matmul"] and consumers[0].ndim == 4
+        assert [_op(n) for n in consumers] == ["matmul"] and consumers[0].ndim == 4
 
 
 def test_rotary_and_rmsnorm_are_one_tape_node_each(monkeypatch):

@@ -11,7 +11,6 @@ from ropekit.scaling import (
     alpha_codellama,
     alpha_pi,
     alpha_yarn,
-    chain_step,
     scale_basis,
 )
 
@@ -123,39 +122,3 @@ def test_scale_positions_equals_scaled_basis_rotation():
     oracle = rotation_matrix(shrunk.theta, m) @ x
     assert np.max(np.abs(a - b)) < 1e-12
     assert np.max(np.abs(a - oracle)) < 1e-12
-
-
-# ---------------------------------------------------------------------------
-# progressive chain
-
-
-def test_chain_step_identity():
-    z = np.log(default_basis(8).theta)
-    a = alpha_yarn(2.0, 8)
-    assert np.array_equal(chain_step(z, a, a), z)
-
-
-def test_chain_telescopes_to_direct_form():
-    d = 8
-    z1 = np.log(default_basis(d).theta)
-    a1 = np.ones(d // 2)
-    a2 = alpha_yarn(2.0, d)
-    a4 = alpha_yarn(4.0, d)
-    chained = chain_step(chain_step(z1, a1, a2), a2, a4)
-    direct = z1 + np.log(a4)
-    assert max_rel_err(chained, direct, floor=1e-12) < 1e-12
-
-
-def test_chain_pi_shifts_by_log_t():
-    d = 6
-    z1 = np.log(default_basis(d).theta)
-    out = chain_step(z1, np.ones(d // 2), alpha_pi(3.0, d))
-    assert np.allclose(out, z1 - np.log(3.0), rtol=1e-14)
-
-
-def test_chain_rejects_nonpositive():
-    z = np.log(default_basis(4).theta)
-    with pytest.raises(ValueError):
-        chain_step(z, np.array([1.0, -1.0]), np.ones(2))
-    with pytest.raises(ValueError):
-        chain_step(z, np.ones(3), np.ones(3))

@@ -1,0 +1,112 @@
+"""Check that the working tree produces byte-identical outputs to a git revision.
+
+Usage: python3 tools/same_outputs.py <rev>
+
+Unpacks <rev> with `git archive` into a temporary directory and runs the same
+protocol under that tree and under the working tree (each imported through
+PYTHONPATH, each in a fresh output directory):
+
+- `ropekit corpus` of 200,000 bytes;
+- `ropekit compare` of rope, pi, yarn, codellama, randompos and ode with
+  steps 40, t_train 4, t_fixed 4 and eval_lens [128, 256, 512, 1100], once in
+  float32 and once in float64;
+- `ropekit eval` of each compare's ode checkpoint at [128, 1100];
+- `ropekit basis -d 16 --methods identity,pi,yarn,codellama,ode --t 1,2.5,8`.
+
+It then compares the sha256 of every file, each command's stdout included,
+with the timestamps of run-directory names normalised. It prints the number
+of identical files and exits 0, or names each file that differs or exists on
+one side only and exits 1. Takes a few minutes on two cores.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import json
+import os
+import re
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+METHODS = ("rope", "pi", "yarn", "codellama", "randompos", "ode")
+COMPARE = {"steps": 40, "t_train": 4.0, "t_fixed": 4.0, "eval_lens": [128, 256, 512, 1100]}
+STAMP = re.compile(r"\d{8}-\d{6}-")
+
+
+def unpack(rev: str, dest: Path) -> None:
+    blob = subprocess.run(["git", "archive", "--format=tar", rev], cwd=REPO,
+                          capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(blob)) as tar:
+        tar.extractall(dest)
+
+
+def run_protocol(tree: Path, out: Path) -> None:
+    """Every command of the protocol with tree/src first on the import path,
+    writing into out. The cwd is out, outside any git checkout, so both
+    sides record the same commit ("unknown") in report.json."""
+    out.mkdir(parents=True)
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    env.pop("ROPEKIT_OUT", None)
+
+    def ropekit(name: str, *args: str) -> None:
+        done = subprocess.run([sys.executable, "-m", "ropekit", *args], cwd=out, env=env,
+                              capture_output=True, text=True)
+        if done.returncode != 0:
+            raise SystemExit(f"{tree}: ropekit {' '.join(args)} exited {done.returncode}:\n{done.stderr}")
+        (out / f"{name}.stdout").write_text(done.stdout)
+
+    found = subprocess.run([sys.executable, "-c", "import ropekit; print(ropekit.__file__)"],
+                           cwd=out, env=env, capture_output=True, text=True, check=True).stdout
+    if not Path(found.strip()).is_relative_to(tree / "src"):
+        raise SystemExit(f"ropekit imported from {found.strip()}, not from {tree / 'src'}")
+
+    ropekit("corpus", "corpus", "-o", "corpus.txt", "--bytes", "200000")
+    for precision in ("float32", "float64"):
+        runs = out / precision
+        doc = {"corpus": "corpus.txt", "precision": precision, **COMPARE}
+        (out / f"compare-{precision}.json").write_text(
+            json.dumps({**doc, "runs": [{"method": m} for m in METHODS]}))
+        ropekit(f"compare-{precision}", "compare", "-c", f"compare-{precision}.json", "-o", precision)
+        (checkpoint,) = runs.glob("*-compare-*/ode/checkpoint")
+        (out / f"eval-{precision}.json").write_text(
+            json.dumps({**doc, "method": "ode", "eval_lens": [128, 1100]}))
+        ropekit(f"eval-{precision}", "eval", "-c", f"eval-{precision}.json", "-o", precision,
+                "--checkpoint", str(checkpoint.relative_to(out)))
+    ropekit("basis", "basis", "-d", "16", "--methods", "identity,pi,yarn,codellama,ode",
+            "--t", "1,2.5,8")
+
+
+def digests(out: Path) -> dict[str, str]:
+    return {
+        STAMP.sub("RUN-", str(path.relative_to(out))): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out.rglob("*")) if path.is_file()
+    }
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory(prefix="same_outputs-") as tmp:
+        tmp = Path(tmp)
+        unpack(argv[0], tmp / "base")
+        run_protocol(tmp / "base", tmp / "out-base")
+        run_protocol(REPO, tmp / "out-work")
+        base, work = digests(tmp / "out-base"), digests(tmp / "out-work")
+    differ = sorted(name for name in base.keys() | work.keys() if base.get(name) != work.get(name))
+    for name in differ:
+        side = " (only in the working tree)" if name not in base else (
+            f" (only in {argv[0]})" if name not in work else "")
+        print(f"differs: {name}{side}")
+    same = len(base.keys() | work.keys()) - len(differ)
+    print(f"{same} files identical, {len(differ)} differ ({argv[0]} vs the working tree)")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
