@@ -5,13 +5,13 @@ and backward() replays the closures in reverse topological order. Two
 precision modes are supported (float32 for training, float64 for
 verification) and are kept strictly separate: mixing dtypes in one op is an
 error. The elementwise ops take operands of equal shape only; matmul applies a
-matrix to the last axis of a tensor of any rank; the layer kernels broadcast
-internally. backward() leaves a gradient on the leaves only: intermediate
-flows are dropped as soon as they have been propagated.
+[k, n] weight to the last axis of a tensor of any rank; the layer kernels
+broadcast internally. backward() leaves a gradient on the leaves only:
+intermediate flows are dropped as soon as they have been propagated.
 
 Each job is one op and one tape node with one hand-written VJP: rotate_pairs
-applies the rotary transform, rms_norm normalizes, and causal_softmax scales,
-masks and normalizes the attention scores.
+applies the rotary transform, rms_norm normalizes, and causal_attention
+scores, masks, normalizes and applies the attention weights.
 """
 
 from __future__ import annotations
@@ -271,27 +271,23 @@ def silu(x) -> Tensor:
 # linear algebra and shape ops
 
 
-def matmul(a, b) -> Tensor:
-    """Matrix product over the last two axes. b is either a [k, n] weight,
-    applied to a[..., k] of any rank >= 2 as one 2-D product over the folded
-    leading axes, or a stack of matrices with a's rank and leading dims."""
-    a, b = as_tensor(a), as_tensor(b)
-    _check_dtypes(a, b)
-    if a.ndim < 2 or b.ndim < 2 or (b.ndim > 2 and a.shape[:-2] != b.shape[:-2]):
-        raise ValueError(f"matmul needs a [k, n] right operand or equal leading dims, got {a.shape} x {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    fold = b.ndim == 2
-    a2 = a.data.reshape(-1, a.shape[-1]) if fold else a.data
-    out = _node(np.matmul(a2, b.data).reshape(a.shape[:-1] + b.shape[-1:]), (a, b))
+def matmul(x, w) -> Tensor:
+    """x[..., k] of any rank >= 2 times a [k, n] weight, as one 2-D product
+    over the folded leading axes of x."""
+    x, w = as_tensor(x), as_tensor(w)
+    _check_dtypes(x, w)
+    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0]:
+        raise ValueError(f"matmul needs x[..., k] of rank >= 2 and a [k, n] weight, got {x.shape} x {w.shape}")
+    x2 = x.data.reshape(-1, x.shape[-1])
+    out = _node(np.matmul(x2, w.data).reshape(x.shape[:-1] + w.shape[1:]), (x, w))
     if out.requires_grad:
 
         def bw(g):
-            g2 = g.reshape(-1, g.shape[-1]) if fold else g
-            if a.requires_grad:
-                _accum(a, np.matmul(g2, b.data.swapaxes(-1, -2)).reshape(a.shape))
-            if b.requires_grad:
-                _accum(b, np.matmul(a2.swapaxes(-1, -2), g2))
+            g2 = g.reshape(-1, g.shape[-1])
+            if x.requires_grad:
+                _accum(x, np.matmul(g2, w.data.T).reshape(x.shape))
+            if w.requires_grad:
+                _accum(w, np.matmul(x2.T, g2))
 
         out._backward = bw
     return out
@@ -434,26 +430,40 @@ def rms_norm(x, gain, eps: float) -> Tensor:
     return out
 
 
-
-def causal_softmax(scores, scale: float) -> Tensor:
-    """Attention weights: softmax along the last axis of scores * scale, with
-    entries above the diagonal of the last two axes set to a large negative
-    constant first, so future positions get exactly zero weight and exactly
-    zero gradient. Stabilized by rowwise max subtraction."""
-    scores = as_tensor(scores)
-    s = scores.data.dtype.type(scale)
-    future = np.triu(np.ones(scores.shape[-2:], dtype=bool), k=1)
-    y = scores.data * s
-    np.copyto(y, s.dtype.type(-1e9), where=future)
+def causal_attention(q, k, v, scale: float) -> Tensor:
+    """Causal softmax attention over [..., S, d] inputs: output row i is the
+    softmax of scale * q_i . k_j over the positions j <= i, applied to the
+    rows of v. Later positions get their scores set to a large negative
+    constant before the rowwise max subtraction, so they get exactly zero
+    weight and exactly zero gradient. Differentiable in q, k and v."""
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    _check_dtypes(q, k)
+    _check_dtypes(q, v)
+    if q.ndim < 2 or k.shape != q.shape or v.shape[:-1] != q.shape[:-1]:
+        raise ValueError(f"attention needs q and k of one shape [..., S, d] and v [..., S, e], "
+                         f"got {q.shape}, {k.shape} and {v.shape}")
+    s = q.data.dtype.type(scale)
+    # k^T as the contiguous copy that a transpose node used to store, so both
+    # products hand BLAS the operand layout they always had.
+    kt = np.ascontiguousarray(k.data.swapaxes(-1, -2))
+    y = np.matmul(q.data, kt)
+    y *= s
+    np.copyto(y, s.dtype.type(-1e9), where=np.triu(np.ones(y.shape[-2:], dtype=bool), k=1))
     y -= y.max(axis=-1, keepdims=True)
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
-    out = _node(y, (scores,))
+    out = _node(np.matmul(y, v.data), (q, k, v))
     if out.requires_grad:
 
         def bw(g):
-            inner = (g * y).sum(axis=-1, keepdims=True)
-            _accum(scores, y * (g - inner) * s)
+            g_att = np.matmul(g, v.data.swapaxes(-1, -2))
+            if v.requires_grad:
+                _accum(v, np.matmul(y.swapaxes(-1, -2), g))
+            g_s = y * (g_att - (g_att * y).sum(axis=-1, keepdims=True)) * s
+            if q.requires_grad:
+                _accum(q, np.matmul(g_s, kt.swapaxes(-1, -2)))
+            if k.requires_grad:
+                _accum(k, np.matmul(q.data.swapaxes(-1, -2), g_s).swapaxes(-1, -2))
 
         out._backward = bw
     return out

@@ -177,6 +177,16 @@ def split_config(cfg: dict) -> tuple[ModelConfig, TrainSettings]:
             raise ValueError(f"vocab must be >= 256 to hold every byte of the corpus, got {model_cfg.vocab}")
         if not all(n >= 2 for n in shared["eval_lens"]):
             raise ValueError(f"eval_lens must all be >= 2, got {shared['eval_lens']}")
+        m, batch = model_cfg, settings.batch_size
+        limit = np.iinfo(np.intp).max // np.dtype(settings.dtype).itemsize
+        for shape, size in (
+            ("vocab x d_model (the embedding table)", m.vocab * m.d_model),
+            ("d_model x 4 d_model (an MLP weight)", 4 * m.d_model**2),
+            ("batch_size x train_len x vocab (a step's logits)", batch * m.train_len * m.vocab),
+            ("batch_size x n_heads x train_len^2 (a step's attention weights)", batch * m.n_heads * m.train_len**2),
+        ):
+            if size > limit:
+                raise ValueError(f"{shape} is {size} entries, more than a numpy array can hold ({limit})")
     except (TypeError, ValueError) as e:
         raise InputError(str(e)) from None
     return model_cfg, settings

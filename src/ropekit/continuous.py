@@ -159,38 +159,23 @@ class PlanMode(enum.Enum):
     RANDOM_SAMPLED = "random"
 
 
-def position_plan(
-    train_len: int,
-    t_prime: float,
-    native_len: int,
-    mode: PlanMode,
-    rng: np.random.Generator | None = None,
-    rng_seed: int | None = None,
-) -> np.ndarray:
+def position_plan(train_len: int, t_prime: float, mode: PlanMode, rng_seed: int | None = None) -> np.ndarray:
     """Assign train_len strictly increasing positions spanning up to
-    t_prime * native_len.
+    span = t_prime * train_len.
 
-    NATURAL: 1..train_len. UNIFORM_SCALED: j*s for s = t'*native_len/train_len.
+    NATURAL: 1..train_len. UNIFORM_SCALED: j * span/train_len.
     RANDOM_SAMPLED: train_len distinct integers drawn without replacement
-    from [1, floor(t'*native_len)], ascending.
+    from [1, floor(span)], ascending, by a generator seeded with rng_seed.
     """
-    t_prime = _check_factor(t_prime)
-    limit = math.floor(t_prime * native_len)
-    if train_len > limit:
-        raise ValueError(
-            f"cannot place {train_len} positions in [1, {limit}] (t'={t_prime}, native={native_len})"
-        )
+    span = _check_factor(t_prime) * train_len
     if mode is PlanMode.NATURAL:
         pos = np.arange(1, train_len + 1, dtype=np.float64)
     elif mode is PlanMode.UNIFORM_SCALED:
-        s = t_prime * native_len / train_len
-        pos = np.arange(1, train_len + 1, dtype=np.float64) * s
+        pos = np.arange(1, train_len + 1, dtype=np.float64) * (span / train_len)
     elif mode is PlanMode.RANDOM_SAMPLED:
-        if rng is None:
-            if rng_seed is None:
-                raise ValueError("random sampling needs an rng or rng_seed")
-            rng = np.random.default_rng(rng_seed)
-        draw = rng.choice(limit, size=train_len, replace=False)
+        if rng_seed is None:
+            raise ValueError("random sampling needs an rng_seed")
+        draw = np.random.default_rng(rng_seed).choice(math.floor(span), size=train_len, replace=False)
         pos = np.sort(draw).astype(np.float64) + 1.0
     else:
         raise ValueError(f"unknown plan mode {mode}")
@@ -226,8 +211,6 @@ def build_cache(
 ) -> BasisCache:
     """Solve the dynamics once per requested factor and freeze the results."""
     t_ks = [float(t) for t in t_ks]
-    if any(b <= a for a, b in zip(t_ks, t_ks[1:])):
-        raise ValueError("cache factors must be sorted strictly ascending")
     bases = tuple(solve_basis(base_basis, t, net, form, steps_per_unit) for t in t_ks)
     return BasisCache(native_len, tuple(t_ks), bases)
 
@@ -235,7 +218,7 @@ def build_cache(
 class CacheSession:
     """Lookup frontend holding session-local on-demand extensions."""
 
-    def __init__(self, cache: BasisCache, solver: Callable[[float], FrequencyBasis] | None = None):
+    def __init__(self, cache: BasisCache, solver: Callable[[float], FrequencyBasis]):
         self.cache = cache
         self._solver = solver
         self._extra: dict[float, FrequencyBasis] = {}
@@ -251,10 +234,6 @@ class CacheSession:
                 return t, basis
         t = seq_len / self.cache.native_len
         if t not in self._extra:
-            if self._solver is None:
-                raise ValueError(
-                    f"length {seq_len} exceeds every cached factor and no solver was provided"
-                )
             self._extra[t] = self._solver(t)
         return t, self._extra[t]
 

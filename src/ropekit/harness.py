@@ -187,14 +187,12 @@ def train(cfg: ModelConfig, settings: TrainSettings, corpus: Corpus) -> TrainRes
             positions, theta = static
         elif cfg.method == "randompos":
             seed = int(rng.integers(0, 2**63))
-            positions = position_plan(cfg.train_len, cfg.t_train, cfg.train_len,
-                                      PlanMode.RANDOM_SAMPLED, rng_seed=seed)
+            positions = position_plan(cfg.train_len, cfg.t_train, PlanMode.RANDOM_SAMPLED, seed)
             theta = default_basis(cfg.d_head)
         else:  # ode
             t_prime = sample_train_factor(cfg.t_train, rng)
             seed = int(rng.integers(0, 2**63))
-            positions = position_plan(cfg.train_len, t_prime, cfg.train_len,
-                                      settings.position_mode, rng_seed=seed)
+            positions = position_plan(cfg.train_len, t_prime, settings.position_mode, seed)
             zt = solve(z1, t_prime, net, settings.xi_form, settings.steps_per_unit)
             theta = ad.exp(zt)
 

@@ -139,8 +139,8 @@ def forward(
         v = _split_heads(ad.matmul(pre, params[p + "wv"]), h_count)
         q = rotate_sequences(q, positions, theta)
         k = rotate_sequences(k, positions, theta)
-        att = ad.causal_softmax(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), score_scale)
-        ctx = ad.reshape(ad.transpose(ad.matmul(att, v), (0, 2, 1, 3)), (b, s, cfg.d_model))
+        heads = ad.causal_attention(q, k, v, score_scale)
+        ctx = ad.reshape(ad.transpose(heads, (0, 2, 1, 3)), (b, s, cfg.d_model))
         x = ad.add(x, ad.matmul(ctx, params[p + "wo"]))
         pre = rmsnorm(x, params[p + "mlp_norm"])
         x = ad.add(x, ad.matmul(ad.silu(ad.matmul(pre, params[p + "w1"])), params[p + "w2"]))

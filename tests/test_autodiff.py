@@ -74,15 +74,6 @@ def test_matmul_folds_leading_axes_into_one_product():
         ad.matmul(Tensor(np.ones((2, 2, 3, 4))), Tensor(np.ones((2, 4, 2))))
 
 
-def test_matmul_batched_matches_loop():
-    r = rng()
-    a = r.normal(size=(2, 3, 4))
-    b = r.normal(size=(2, 4, 5))
-    out = ad.matmul(Tensor(a), Tensor(b)).data
-    for i in range(2):
-        assert np.allclose(out[i], a[i] @ b[i], rtol=1e-14)
-
-
 # ---------------------------------------------------------------------------
 # elementwise suite
 
@@ -151,6 +142,7 @@ _ROT_POS = np.array([0.5, 2.0, 9.0])
 _ROT_THETA = np.array([1.0, 0.3, 0.02])
 _CE_TARGETS = _R2.integers(0, 4, size=3)
 _A234 = _R2.normal(size=(2, 3, 4))
+_Q, _K, _V = _R2.normal(size=(3, 2, 4, 3))
 
 UNARY_CASES = [
     ("exp", lambda x: ad.exp(x), _A34),
@@ -169,8 +161,9 @@ UNARY_CASES = [
     ("rotate_pairs", lambda x: ad.rotate_pairs(x, _ROT_POS, ad.constant(_ROT_THETA)), _ROT_X),
     ("rms_norm", lambda x: ad.rms_norm(x, ad.constant(_POS[0]), 1e-6), _A34),
     ("rms_norm_gain", lambda g: ad.rms_norm(ad.constant(_A34), g, 1e-6), _POS[0]),
-    ("causal_softmax", lambda x: ad.causal_softmax(ad.reshape(x, (2, 4, 4)), 0.7),
-     _R.normal(size=(8, 4))),
+    ("causal_attention_q", lambda q: ad.causal_attention(q, ad.constant(_K), ad.constant(_V), 0.7), _Q),
+    ("causal_attention_k", lambda k: ad.causal_attention(ad.constant(_Q), k, ad.constant(_V), 0.7), _K),
+    ("causal_attention_v", lambda v: ad.causal_attention(ad.constant(_Q), ad.constant(_K), v, 0.7), _V),
     ("gather", lambda x: ad.gather_rows(x, _IDX), _R.normal(size=(5, 3))),
     ("softmax_cross_entropy", lambda x: ad.softmax_cross_entropy(x, _CE_TARGETS), _A34),
 ]
@@ -199,19 +192,29 @@ def test_every_tape_op_has_a_gradcheck_row():
     assert ops - checked == set(), "tape ops without a test_gradcheck_op row"
 
 
-def test_causal_softmax_exactness():
-    x = Tensor(_R.normal(size=(2, 4, 4)) * 5.0, requires_grad=True)
-    out = ad.causal_softmax(x, 1.3)
-    keep = np.tril(np.ones((4, 4), dtype=bool))
-    assert np.array_equal(out.data[:, ~keep], np.zeros((2, 6)))
+def test_causal_attention_exactness():
+    r = np.random.default_rng(7)
+    q, k, v = (Tensor(r.normal(size=(2, 5, 3)), requires_grad=True) for _ in range(3))
+    out = ad.causal_attention(q, k, v, 1.3)
     for b in range(2):
-        for i in range(4):
-            row = np.exp(1.3 * x.data[b, i, : i + 1] - (1.3 * x.data[b, i, : i + 1]).max())
-            assert np.allclose(out.data[b, i, : i + 1], row / row.sum(), rtol=1e-14)
-    w = _R.normal(size=(2, 4, 4))
-    ad.backward(ad.sum_all(ad.mul(out, ad.constant(w))))
-    assert np.array_equal(x.grad[:, ~keep], np.zeros((2, 6)))
-    assert np.all(x.grad[:, keep][:, 1:] != 0.0)
+        for i in range(5):
+            z = np.array([1.3 * sum(q.data[b, i, c] * k.data[b, j, c] for c in range(3)) for j in range(i + 1)])
+            w = np.exp(z - z.max())
+            w /= w.sum()
+            want = [sum(w[j] * v.data[b, j, c] for j in range(i + 1)) for c in range(3)]
+            assert np.allclose(out.data[b, i], want, rtol=1e-13, atol=1e-15)
+    # output row i reads only q row i and the k and v rows up to i: every
+    # other row gets exactly zero gradient from it
+    for i in range(5):
+        q.grad = k.grad = v.grad = None
+        g = np.zeros(out.shape)
+        g[:, i] = r.normal(size=(2, 3))
+        ad.backward(ad.sum_all(ad.mul(out, ad.constant(g))))
+        assert np.array_equal(k.grad[:, i + 1 :], np.zeros((2, 4 - i, 3)))
+        assert np.array_equal(v.grad[:, i + 1 :], np.zeros((2, 4 - i, 3)))
+        assert np.array_equal(np.delete(q.grad, i, axis=1), np.zeros((2, 4, 3)))
+        assert np.all(v.grad[:, : i + 1] != 0.0)
+        assert i == 0 or np.all(k.grad[:, : i + 1] != 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -321,13 +324,13 @@ def test_backward_deep_chain():
 
 def test_graph_purity_values_identical():
     r = rng()
-    x = r.normal(size=(4, 4))
+    x = r.normal(size=(2, 4, 4))
     w = r.normal(size=(4, 4))
 
     def run(requires):
         xt = Tensor(x, requires_grad=requires)
         wt = Tensor(w, requires_grad=requires)
-        return ad.causal_softmax(ad.matmul(ad.silu(xt), wt), 0.5).data
+        return ad.causal_attention(ad.silu(xt), ad.matmul(xt, wt), xt, 0.5).data
 
     assert np.array_equal(run(True), run(False))
     with ad.no_grad():
@@ -340,7 +343,7 @@ def test_determinism_bitwise():
         r = np.random.default_rng(123)
         x = Tensor(r.normal(size=(8, 8)).astype(np.float32), requires_grad=True)
         gain = ad.constant(np.linspace(0.5, 1.5, 8, dtype=np.float32))
-        y = ad.sum_all(ad.causal_softmax(ad.matmul(ad.silu(x), ad.rms_norm(x, gain, 1e-6)), 0.5))
+        y = ad.sum_all(ad.causal_attention(ad.silu(x), ad.rms_norm(x, gain, 1e-6), x, 0.5))
         ad.backward(y)
         return y.data.copy(), x.grad.copy()
 

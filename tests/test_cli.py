@@ -112,13 +112,16 @@ def test_train_unknown_key_exits_2(tmp_path, capsys):
     ({"beta2": 1.0}, "beta2 must"),
     ({"t_train": 10**400}, "t_train must be a number that a float can hold"),
     ({"d_model": 10**30, "n_heads": 1}, "d_model must be an integer in the signed 64-bit range"),
+    ({"vocab": 2**62}, "vocab x d_model (the embedding table) is 295147905179352825856 entries"),
+    ({"batch_size": 2**62}, "batch_size x train_len x vocab (a step's logits) is"),
 ], ids=["steps", "batch_size", "eval_len_1", "eval_len_float", "eval_lens_str",
         "cache_descending", "cache_below_1", "cache_inf", "n_heads", "n_layers", "d_model",
         "steps_per_unit", "lambda_amp", "ode_head_dim_2",
         "steps_fraction", "train_len_fraction", "d_model_integral_float", "steps_bool",
         "cache_str", "cache_bool_entry", "corpus_int", "corpus_bool", "split_fraction_null",
         "split_fraction_list", "out_dir_int", "vocab_below_256", "seed_negative",
-        "beta1_1", "beta2_1", "t_train_401_digits", "d_model_beyond_int64"])
+        "beta1_1", "beta2_1", "t_train_401_digits", "d_model_beyond_int64",
+        "vocab_array_too_big", "batch_size_array_too_big"])
 def test_bad_config_value_exits_2_before_corpus_load(tmp_path, capsys, doc, message):
     # the corpus is absent, so only a check made before loading it can name the key
     cfg = write_config(tmp_path, {"corpus": str(tmp_path / "absent.bin"), **doc})

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -132,7 +134,7 @@ def test_projections_are_one_tape_node():
     assert _op(logits) == "matmul" and logits.shape == (8, 128, cfg.vocab)
     assert _op(x) == "rms_norm" and x.shape == (8, 128, cfg.d_model)
     assert _op(head) == "transpose" and head._parents == (params["tok_emb"],)
-    assert sum(n._backward is not None for n in nodes) == 55
+    assert sum(n._backward is not None for n in nodes) == 49
 
 
 def test_backward_keeps_grads_on_leaves_only(monkeypatch):
@@ -163,19 +165,44 @@ def test_backward_keeps_grads_on_leaves_only(monkeypatch):
         assert np.array_equal(leaf.grad, flows[id(leaf)])
 
 
-def test_attention_weights_are_one_tape_node():
-    # Between the q.k^T matmul and the att.v matmul the tape holds exactly
-    # one node: the causal_softmax that scales, masks and normalizes.
+def test_attention_is_one_tape_node():
+    # q.k^T, the scale, the causal mask, the softmax and att.v are one
+    # causal_attention node per layer, fed by the rotated q and k and by v
     cfg = tiny_cfg()
     params = init_params(cfg, dtype=np.float64)
     toks = np.random.default_rng(1).integers(0, cfg.vocab, size=(2, 6))
     nodes = ad._toposort(forward(params, cfg, toks, natural(6), default_basis(cfg.d_head)))
-    att = [n for n in nodes if _op(n) == "causal_softmax"]
+
+    def weight_of(node):  # the projection weight that a head tensor comes from
+        while _op(node) != "matmul":
+            node = node._parents[0]
+        return node._parents[1]
+
+    att = [n for n in nodes if _op(n) == "causal_attention"]
     assert len(att) == cfg.n_layers
-    for a in att:
-        assert [_op(p) for p in a._parents] == ["matmul"]
-        consumers = [n for n in nodes if any(p is a for p in n._parents)]
-        assert [_op(n) for n in consumers] == ["matmul"] and consumers[0].ndim == 4
+    for i, a in enumerate(att):
+        assert [_op(p) for p in a._parents] == ["rotate_pairs", "rotate_pairs", "transpose"]
+        assert [weight_of(p) for p in a._parents] == [params[f"layers.{i}.{w}"] for w in ("wq", "wk", "wv")]
+        assert a.shape == (2, cfg.n_heads, 6, cfg.d_head)
+    assert not [n for n in nodes if _op(n) == "matmul" and n.ndim == 4]
+
+
+def test_no_grad_forward_peaks_below_two_score_arrays():
+    # At S=1024 a layer's [B, H, S, S] attention weights dominate a no-grad
+    # forward; each layer's are freed before the next layer makes its own.
+    cfg = ModelConfig(n_layers=2, n_heads=4, d_model=64, train_len=128).validate()
+    params = init_params(cfg)
+    s = 1024
+    toks = np.random.default_rng(9).integers(0, cfg.vocab, size=(1, s))
+    score_bytes = cfg.n_heads * s * s * np.dtype(np.float32).itemsize
+    tracemalloc.start()
+    try:
+        with ad.no_grad():
+            forward(params, cfg, toks, natural(s), default_basis(cfg.d_head))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * score_bytes, f"peak {peak / score_bytes:.2f} score arrays"
 
 
 def test_rotary_and_rmsnorm_are_one_tape_node_each(monkeypatch):
