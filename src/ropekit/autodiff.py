@@ -11,7 +11,10 @@ intermediate flows are dropped as soon as they have been propagated.
 
 Each job is one op and one tape node with one hand-written VJP: rotate_pairs
 applies the rotary transform, rms_norm normalizes, and causal_attention
-scores, masks, normalizes and applies the attention weights.
+scores, masks, normalizes and applies the attention weights. causal_attention
+walks blocks of query rows and scores each block against the keys up to its
+causal edge only, so no score of a later position is computed outside the
+block's diagonal tile, and a no-grad call holds one block's weights at a time.
 """
 
 from __future__ import annotations
@@ -430,12 +433,32 @@ def rms_norm(x, gain, eps: float) -> Tensor:
     return out
 
 
+ATTENTION_BLOCK = 128
+
+
+def _add_rows(total: np.ndarray | None, part: np.ndarray) -> np.ndarray:
+    # Blocks are walked last first, and the last one reaches every key row, so
+    # its part starts the sum and each earlier part adds into its leading rows.
+    if total is None:
+        return part
+    total[..., : part.shape[-2], :] += part
+    return total
+
+
 def causal_attention(q, k, v, scale: float) -> Tensor:
     """Causal softmax attention over [..., S, d] inputs: output row i is the
     softmax of scale * q_i . k_j over the positions j <= i, applied to the
-    rows of v. Later positions get their scores set to a large negative
-    constant before the rowwise max subtraction, so they get exactly zero
-    weight and exactly zero gradient. Differentiable in q, k and v."""
+    rows of v. Differentiable in q, k and v.
+
+    The kernel walks query blocks of ATTENTION_BLOCK rows. Block [a, b) scores
+    its queries against keys [0, b) only, the keys cut at the causal edge, so
+    a later position's score is computed inside the diagonal [a, b) x [a, b)
+    tile alone. There it is set to a large negative constant before the
+    rowwise max subtraction, so it gets exactly zero weight and exactly zero
+    gradient. The softmax of each row runs over its whole [0, b) slab, so a
+    no-grad call holds one [..., ATTENTION_BLOCK, S] slab of weights at a
+    time, and a recorded one keeps only the causal slabs for its backward.
+    With S <= ATTENTION_BLOCK there is one block, the dense kernel."""
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     _check_dtypes(q, k)
     _check_dtypes(q, v)
@@ -443,27 +466,46 @@ def causal_attention(q, k, v, scale: float) -> Tensor:
         raise ValueError(f"attention needs q and k of one shape [..., S, d] and v [..., S, e], "
                          f"got {q.shape}, {k.shape} and {v.shape}")
     s = q.data.dtype.type(scale)
+    n = q.shape[-2]
+    blocks = [(a, min(a + ATTENTION_BLOCK, n)) for a in range(0, n, ATTENTION_BLOCK)]
+    keep = _GRAD_ENABLED and (q.requires_grad or k.requires_grad or v.requires_grad)
     # k^T as the contiguous copy that a transpose node used to store, so both
     # products hand BLAS the operand layout they always had.
     kt = np.ascontiguousarray(k.data.swapaxes(-1, -2))
-    y = np.matmul(q.data, kt)
-    y *= s
-    np.copyto(y, s.dtype.type(-1e9), where=np.triu(np.ones(y.shape[-2:], dtype=bool), k=1))
-    y -= y.max(axis=-1, keepdims=True)
-    np.exp(y, out=y)
-    y /= y.sum(axis=-1, keepdims=True)
-    out = _node(np.matmul(y, v.data), (q, k, v))
+    data = np.empty(v.shape[:-2] + (n, v.shape[-1]), dtype=v.data.dtype)
+    slabs = []
+    for a, b in blocks:
+        y = np.matmul(q.data[..., a:b, :], kt[..., :b])
+        y *= s
+        np.copyto(y[..., a:], s.dtype.type(-1e9), where=np.triu(np.ones((b - a, b - a), dtype=bool), k=1))
+        y -= y.max(axis=-1, keepdims=True)
+        np.exp(y, out=y)
+        y /= y.sum(axis=-1, keepdims=True)
+        data[..., a:b, :] = np.matmul(y, v.data[..., :b, :])
+        if keep:
+            slabs.append(y)
+    out = _node(data, (q, k, v))
     if out.requires_grad:
 
         def bw(g):
-            g_att = np.matmul(g, v.data.swapaxes(-1, -2))
+            g_q = np.empty_like(q.data) if q.requires_grad else None
+            g_k = g_v = None
+            for (a, b), y in zip(reversed(blocks), reversed(slabs)):
+                g_b = g[..., a:b, :]
+                g_att = np.matmul(g_b, v.data[..., :b, :].swapaxes(-1, -2))
+                if v.requires_grad:
+                    g_v = _add_rows(g_v, np.matmul(y.swapaxes(-1, -2), g_b))
+                g_s = y * (g_att - (g_att * y).sum(axis=-1, keepdims=True)) * s
+                if q.requires_grad:
+                    g_q[..., a:b, :] = np.matmul(g_s, kt[..., :b].swapaxes(-1, -2))
+                if k.requires_grad:
+                    g_k = _add_rows(g_k, np.matmul(q.data[..., a:b, :].swapaxes(-1, -2), g_s).swapaxes(-1, -2))
             if v.requires_grad:
-                _accum(v, np.matmul(y.swapaxes(-1, -2), g))
-            g_s = y * (g_att - (g_att * y).sum(axis=-1, keepdims=True)) * s
+                _accum(v, g_v)
             if q.requires_grad:
-                _accum(q, np.matmul(g_s, kt.swapaxes(-1, -2)))
+                _accum(q, g_q)
             if k.requires_grad:
-                _accum(k, np.matmul(q.data.swapaxes(-1, -2), g_s).swapaxes(-1, -2))
+                _accum(k, g_k)
 
         out._backward = bw
     return out

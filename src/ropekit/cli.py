@@ -35,7 +35,6 @@ from .harness import (
     evaluate,
     extrapolation_breakpoints,
     load_corpus,
-    make_cache_session,
     train,
     write_demo_corpus,
 )
@@ -340,10 +339,9 @@ def cmd_eval(args) -> int:
     write_resolved_config(run_dir, cfg)
     report = evaluate(params, model_cfg, settings, corpus, cfg["eval_lens"])
     write_report(run_dir, report, cfg)
-    if model_cfg.method == "ode":
-        cache, _ = make_cache_session(params, model_cfg, settings)
+    if report.cache is not None:
         (run_dir / "cache.json").write_text(
-            json.dumps(cache_to_json(cache), indent=2, sort_keys=True) + "\n"
+            json.dumps(cache_to_json(report.cache), indent=2, sort_keys=True) + "\n"
         )
     print(format_table(report))
     for err in report.errors:

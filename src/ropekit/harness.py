@@ -278,8 +278,13 @@ CSV_HEADER = "method,train_len,eval_len,eval_t,attn_scale_mult,ppl,acc"
 
 @dataclass
 class EvalReport:
+    """Rows of one evaluation grid. cache is the basis cache that evaluate
+    built for an ode checkpoint (None for the discrete methods); neither
+    report file holds it, and reports compare by rows and errors only."""
+
     rows: list[EvalRow] = field(default_factory=list)
     errors: list[str] = field(default_factory=list)
+    cache: BasisCache | None = field(default=None, compare=False)
 
     def to_csv(self) -> str:
         lines = [CSV_HEADER]
@@ -386,23 +391,19 @@ def evaluate(
     settings.validate()
     params = _as_param_tensors(params)
     label = label or cfg.method
+    report = EvalReport()
     session = None
     if cfg.method == "ode":
-        _, session = make_cache_session(params, cfg, settings)
-    report = EvalReport()
+        report.cache, session = make_cache_session(params, cfg, settings)
     for eval_len in eval_lens:
         if eval_len < 2:
             raise ValueError(f"eval_len must be >= 2, got {eval_len}")
-        try:
-            windows = evaluation_windows(corpus, eval_len)
-            positions, basis, eval_t = method_inputs(cfg, eval_len, session)
-            mult = log_scale_mult(cfg.train_len, eval_len)
-            nll, correct, count = score_windows(
-                params, cfg, windows, positions, basis, mult, settings.batch_size
-            )
-        except MemoryError:
-            report.errors.append(f"eval_len {eval_len}: exceeded memory budget, skipped")
-            continue
+        windows = evaluation_windows(corpus, eval_len)
+        positions, basis, eval_t = method_inputs(cfg, eval_len, session)
+        mult = log_scale_mult(cfg.train_len, eval_len)
+        nll, correct, count = score_windows(
+            params, cfg, windows, positions, basis, mult, settings.batch_size
+        )
         report.rows.append(
             EvalRow(
                 method=label,

@@ -143,6 +143,8 @@ _ROT_THETA = np.array([1.0, 0.3, 0.02])
 _CE_TARGETS = _R2.integers(0, 4, size=3)
 _A234 = _R2.normal(size=(2, 3, 4))
 _Q, _K, _V = _R2.normal(size=(3, 2, 4, 3))
+# 130 rows: two query blocks of the attention kernel, the second of 2 rows.
+_QB, _KB, _VB = np.random.default_rng(44).normal(size=(3, 1, 130, 2))
 
 UNARY_CASES = [
     ("exp", lambda x: ad.exp(x), _A34),
@@ -164,6 +166,9 @@ UNARY_CASES = [
     ("causal_attention_q", lambda q: ad.causal_attention(q, ad.constant(_K), ad.constant(_V), 0.7), _Q),
     ("causal_attention_k", lambda k: ad.causal_attention(ad.constant(_Q), k, ad.constant(_V), 0.7), _K),
     ("causal_attention_v", lambda v: ad.causal_attention(ad.constant(_Q), ad.constant(_K), v, 0.7), _V),
+    ("causal_attention_blocks_q", lambda q: ad.causal_attention(q, ad.constant(_KB), ad.constant(_VB), 0.7), _QB),
+    ("causal_attention_blocks_k", lambda k: ad.causal_attention(ad.constant(_QB), k, ad.constant(_VB), 0.7), _KB),
+    ("causal_attention_blocks_v", lambda v: ad.causal_attention(ad.constant(_QB), ad.constant(_KB), v, 0.7), _VB),
     ("gather", lambda x: ad.gather_rows(x, _IDX), _R.normal(size=(5, 3))),
     ("softmax_cross_entropy", lambda x: ad.softmax_cross_entropy(x, _CE_TARGETS), _A34),
 ]
@@ -203,18 +208,46 @@ def test_causal_attention_exactness():
             w /= w.sum()
             want = [sum(w[j] * v.data[b, j, c] for j in range(i + 1)) for c in range(3)]
             assert np.allclose(out.data[b, i], want, rtol=1e-13, atol=1e-15)
+    _assert_row_reads_causal_rows(q, k, v, out, range(5), r)
+    # 200 positions are two query blocks: rows on both sides of the block edge
+    r = np.random.default_rng(8)
+    q, k, v = (Tensor(r.normal(size=(2, 200, 3)), requires_grad=True) for _ in range(3))
+    _assert_row_reads_causal_rows(q, k, v, ad.causal_attention(q, k, v, 1.3), (0, 127, 128, 199), r)
+
+
+def _assert_row_reads_causal_rows(q, k, v, out, rows, r):
     # output row i reads only q row i and the k and v rows up to i: every
     # other row gets exactly zero gradient from it
-    for i in range(5):
+    s = q.shape[1]
+    for i in rows:
         q.grad = k.grad = v.grad = None
         g = np.zeros(out.shape)
         g[:, i] = r.normal(size=(2, 3))
         ad.backward(ad.sum_all(ad.mul(out, ad.constant(g))))
-        assert np.array_equal(k.grad[:, i + 1 :], np.zeros((2, 4 - i, 3)))
-        assert np.array_equal(v.grad[:, i + 1 :], np.zeros((2, 4 - i, 3)))
-        assert np.array_equal(np.delete(q.grad, i, axis=1), np.zeros((2, 4, 3)))
+        assert np.array_equal(k.grad[:, i + 1 :], np.zeros((2, s - 1 - i, 3)))
+        assert np.array_equal(v.grad[:, i + 1 :], np.zeros((2, s - 1 - i, 3)))
+        assert np.array_equal(np.delete(q.grad, i, axis=1), np.zeros((2, s - 1, 3)))
         assert np.all(v.grad[:, : i + 1] != 0.0)
         assert i == 0 or np.all(k.grad[:, : i + 1] != 0.0)
+
+
+def test_causal_attention_blocks_match_dense_reference():
+    # 300 positions are three query blocks; a dense float64 kernel over the
+    # full masked [S, S] scores and its closed-form VJP are the reference.
+    r = np.random.default_rng(11)
+    q0, k0, v0, g = r.normal(size=(4, 2, 3, 300, 5))
+    scale = 0.6
+    z = np.where(np.tril(np.ones((300, 300), dtype=bool)), scale * q0 @ k0.swapaxes(-1, -2), -np.inf)
+    w = np.exp(z - z.max(axis=-1, keepdims=True))
+    w /= w.sum(axis=-1, keepdims=True)
+    g_w = g @ v0.swapaxes(-1, -2)
+    g_z = w * (g_w - (g_w * w).sum(axis=-1, keepdims=True)) * scale
+    q, k, v = (Tensor(x, requires_grad=True) for x in (q0, k0, v0))
+    out = ad.causal_attention(q, k, v, scale)
+    ad.backward(ad.sum_all(ad.mul(out, ad.constant(g))))
+    for got, want in ((out.data, w @ v0), (q.grad, g_z @ k0), (k.grad, g_z.swapaxes(-1, -2) @ q0),
+                      (v.grad, w.swapaxes(-1, -2) @ g)):
+        assert np.abs(got - want).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from ropekit.harness import (
     evaluation_windows,
     extrapolation_breakpoints,
     load_corpus,
+    make_cache_session,
     method_inputs,
     sample_train_batch,
     score_windows,
@@ -311,6 +312,7 @@ def test_evaluate_row_fields_per_method(text_corpus):
         report = evaluate(params, cfg, settings, text_corpus, [32, 64])
         assert [r.eval_t for r in report.rows] == want_t
         assert [r.eval_len for r in report.rows] == [32, 64]
+        assert report.cache is None
         assert report.rows[0].attn_scale_mult == 1.0
         assert report.rows[1].attn_scale_mult == pytest.approx(math.log(64) / math.log(32))
         for r in report.rows:
@@ -339,6 +341,11 @@ def test_evaluate_ode_on_demand_beyond_cache(text_corpus):
     result = train(cfg, settings, text_corpus)
     report = evaluate(result.params, cfg, settings, text_corpus, [32, 256])
     assert report.rows[1].eval_t == 256 / 32
+    # the report hands back the cache it looked up, not the on-demand solve
+    cache, _ = make_cache_session(result.params, cfg, settings)
+    assert report.cache.factors == (1.0, 2.0) and report.cache.native_len == 32
+    for got, want in zip(report.cache.bases, cache.bases):
+        assert np.array_equal(got.theta, want.theta)
 
 
 def test_evaluate_rejects_tiny_lengths(text_corpus):
@@ -346,26 +353,6 @@ def test_evaluate_rejects_tiny_lengths(text_corpus):
     params = init_params(cfg, dtype=np.float32)
     with pytest.raises(ValueError):
         evaluate(params, cfg, tiny_settings(), text_corpus, [1])
-
-
-def test_evaluate_reports_memory_exhaustion(text_corpus, monkeypatch):
-    # a length that exhausts memory is recorded, not raised
-    cfg = tiny_cfg()
-    params = init_params(cfg, dtype=np.float32)
-
-    import ropekit.harness as hmod
-
-    real = hmod.score_windows
-
-    def flaky(params, cfg, windows, *args, **kw):
-        if windows.shape[1] >= 64:
-            raise MemoryError("simulated")
-        return real(params, cfg, windows, *args, **kw)
-
-    monkeypatch.setattr(hmod, "score_windows", flaky)
-    report = evaluate(params, cfg, tiny_settings(), text_corpus, [32, 64])
-    assert [r.eval_len for r in report.rows] == [32]
-    assert report.errors == ["eval_len 64: exceeded memory budget, skipped"]
 
 
 # ---------------------------------------------------------------------------

@@ -205,6 +205,24 @@ def test_no_grad_forward_peaks_below_two_score_arrays():
     assert peak < 2 * score_bytes, f"peak {peak / score_bytes:.2f} score arrays"
 
 
+def test_no_grad_forward_score_memory_is_linear_in_length():
+    # At S=4096 the attention kernel holds one [B, H, ATTENTION_BLOCK, S]
+    # slab of weights at a time, 1/32 of a [B, H, S, S] score array.
+    cfg = ModelConfig(n_layers=2, n_heads=4, d_model=64, train_len=128).validate()
+    params = init_params(cfg)
+    s = 4096
+    toks = np.random.default_rng(9).integers(0, cfg.vocab, size=(1, s))
+    score_bytes = cfg.n_heads * s * s * np.dtype(np.float32).itemsize
+    tracemalloc.start()
+    try:
+        with ad.no_grad():
+            forward(params, cfg, toks, natural(s), default_basis(cfg.d_head))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * score_bytes, f"peak {peak / score_bytes:.3f} score arrays"
+
+
 def test_rotary_and_rmsnorm_are_one_tape_node_each(monkeypatch):
     # Each rotate_sequences and rmsnorm call in forward adds exactly one node
     # to the tape: its output, whose parents are the call's tensor arguments.
