@@ -10,11 +10,13 @@ broadcast internally. backward() leaves a gradient on the leaves only:
 intermediate flows are dropped as soon as they have been propagated.
 
 Each job is one op and one tape node with one hand-written VJP: rotate_pairs
-applies the rotary transform, rms_norm normalizes, and causal_attention
-scores, masks, normalizes and applies the attention weights. causal_attention
-walks blocks of query rows and scores each block against the keys up to its
-causal edge only, so no score of a later position is computed outside the
-block's diagonal tile, and a no-grad call holds one block's weights at a time.
+applies the rotary transform, rms_norm normalizes, causal_attention scores,
+masks, normalizes and applies the attention weights, and rk4_solve integrates
+the basis ODE with fixed-step RK4, its VJP the discrete adjoint of all the
+steps. causal_attention walks blocks of query rows and scores each block
+against the keys up to its causal edge only, so no score of a later position
+is computed outside the block's diagonal tile, and a no-grad call holds one
+block's weights at a time.
 """
 
 from __future__ import annotations
@@ -169,7 +171,8 @@ def backward(root: Tensor) -> None:
 
 
 def _toposort(root: Tensor) -> list[Tensor]:
-    # Iterative DFS: unrolled ODE graphs are far deeper than the recursion limit.
+    # Iterative DFS, so a chain of ops deeper than Python's recursion limit
+    # still sorts.
     order: list[Tensor] = []
     visited: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]
@@ -357,7 +360,7 @@ def gather_rows(table, index) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# layer kernels: rotary, normalization, attention and loss
+# layer kernels: rotary, normalization, attention, loss and the RK4 solve
 #
 # The kernels fix the order of their float operations: runs are compared byte
 # for byte, so a reordering that is exact in real arithmetic still changes them.
@@ -546,6 +549,98 @@ def softmax_cross_entropy(logits, targets) -> Tensor:
             )
             p *= z.dtype.type(1.0 / count)
             _accum(logits, p * g)
+
+        out._backward = bw
+    return out
+
+
+def rk4_solve(z, w_up, w_down, drift, h: float) -> Tensor:
+    """Fixed-step RK4 from the state z[d] over n steps of size h, with the
+    dynamics f(z, j) = silu(z @ w_up) @ w_down + drift[j].
+
+    w_up is [d, m] and w_down [m, d]. drift is a plain [n, 4, d] array that
+    holds the fixed drift at the times of each step's four stages. Returns
+    the final state; differentiable in z, w_up and w_down.
+
+    The forward makes the float operations of RK4 written as one tape op per
+    operation (ad.matmul, ad.silu, ad.add, ad.scale), in their order: each
+    stage input is a [1, d] row, and a step ends with
+    z + ((k1 + (k2 + k3) * 2) + k4) * h/6. A recorded call keeps each stage's
+    input, pre-activation, sigmoid and hidden row. Its backward is the
+    discrete adjoint, the exact gradient of the discretised solve: it walks
+    the steps last first and the stages k4, k3, k2, k1 within each, and adds
+    into the weight gradients and the state's flow in the order in which
+    backward() runs the closures of those per-operation nodes, so outputs
+    and gradients equal theirs bit for bit."""
+    z, w_up, w_down = as_tensor(z), as_tensor(w_up), as_tensor(w_down)
+    _check_dtypes(z, w_up)
+    _check_dtypes(z, w_down)
+    drift = np.asarray(drift)
+    if (z.ndim != 1 or w_up.ndim != 2 or w_up.shape[0] != z.size or w_down.shape != w_up.shape[::-1]
+            or drift.ndim != 3 or len(drift) < 1 or drift.shape[1:] != (4, z.size)):
+        raise ValueError(f"rk4_solve needs z [d], w_up [d, m], w_down [m, d] and drift [n >= 1, 4, d], "
+                         f"got {z.shape}, {w_up.shape}, {w_down.shape} and {drift.shape}")
+    d = z.size
+    dt = z.data.dtype.type
+    drift = drift.astype(z.data.dtype)
+    keep = _GRAD_ENABLED and (z.requires_grad or w_up.requires_grad or w_down.requires_grad)
+    stages = []
+
+    def f(z_in, drift_row):
+        a = np.matmul(z_in.reshape(1, d), w_up.data)
+        s = _sigmoid(a)
+        hidden = a * s
+        if keep:
+            stages.append((z_in, a, s, hidden))
+        return np.matmul(hidden, w_down.data).reshape(d) + drift_row
+
+    state = z.data
+    for row in drift:
+        k1 = f(state, row[0])
+        k2 = f(state + k1 * dt(h / 2.0), row[1])
+        k3 = f(state + k2 * dt(h / 2.0), row[2])
+        k4 = f(state + k3 * dt(h), row[3])
+        state = state + ((k1 + (k2 + k3) * dt(2.0)) + k4) * dt(h / 6.0)
+    out = _node(state, (z, w_up, w_down))
+    if out.requires_grad:
+
+        def bw(g):
+            g_up = g_down = None
+
+            def stage_vjp(stage, g_k):
+                # flow into the stage's output k -> flow into its input
+                nonlocal g_up, g_down
+                z_in, a, s, hidden = stage
+                g_k = g_k.reshape(1, d)
+                if w_down.requires_grad:
+                    part = np.matmul(hidden.T, g_k)
+                    g_down = part if g_down is None else g_down + part
+                g_a = np.matmul(g_k, w_down.data.T)
+                g_a = g_a * s * (1.0 + a * (1.0 - s))
+                if w_up.requires_grad:
+                    part = np.matmul(z_in.reshape(1, d).T, g_a)
+                    g_up = part if g_up is None else g_up + part
+                return np.matmul(g_a, w_up.data.T).reshape(d)
+
+            g_z = g
+            for step in reversed(range(len(drift))):
+                s1, s2, s3, s4 = stages[4 * step:4 * step + 4]
+                g_incr = g_z * dt(h / 6.0)
+                g_mid = g_incr * dt(2.0)
+                g4 = stage_vjp(s4, g_incr)
+                g3 = stage_vjp(s3, g_mid + g4 * dt(h))
+                g2 = stage_vjp(s2, g_mid + g3 * dt(h / 2.0))
+                g1 = stage_vjp(s1, g_incr + g2 * dt(h / 2.0))
+                # the state feeds the step's sum and the inputs of stages k4,
+                # k3, k2 and k1; backward() ran the per-operation nodes in
+                # that order, so their flows add up in it
+                g_z = (((g_z + g4) + g3) + g2) + g1
+            if z.requires_grad:
+                _accum(z, g_z)
+            if w_up.requires_grad:
+                _accum(w_up, g_up)
+            if w_down.requires_grad:
+                _accum(w_down, g_down)
 
         out._backward = bw
     return out

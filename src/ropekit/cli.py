@@ -344,8 +344,6 @@ def cmd_eval(args) -> int:
             json.dumps(cache_to_json(report.cache), indent=2, sort_keys=True) + "\n"
         )
     print(format_table(report))
-    for err in report.errors:
-        print(f"warning: {err}", file=sys.stderr)
     print(f"report: {run_dir / 'report.csv'}", file=sys.stderr)
     return 0
 
@@ -450,8 +448,6 @@ def cmd_compare(args) -> int:
         bp = breaks.get(label)
         where = f"eval_len {bp}" if bp is not None else "none within the grid"
         print(f"extrapolation breakpoint for {label}: {where}")
-    for err in report.errors:
-        print(f"warning: {err}", file=sys.stderr)
     return 0
 
 

@@ -280,7 +280,9 @@ CSV_HEADER = "method,train_len,eval_len,eval_t,attn_scale_mult,ppl,acc"
 class EvalReport:
     """Rows of one evaluation grid. cache is the basis cache that evaluate
     built for an ode checkpoint (None for the discrete methods); neither
-    report file holds it, and reports compare by rows and errors only."""
+    report file holds it, and reports compare by rows and errors only.
+    errors is always empty: nothing writes it any more, and it stays only
+    because report.json holds an "errors" key and the benchmark reads it."""
 
     rows: list[EvalRow] = field(default_factory=list)
     errors: list[str] = field(default_factory=list)
@@ -444,7 +446,6 @@ def compare(entries: list[CompareEntry], corpus: Corpus, eval_lens) -> tuple[Eva
         results.append(result)
         rep = evaluate(params, entry.cfg, entry.settings, corpus, eval_lens, entry.label)
         merged.rows.extend(rep.rows)
-        merged.errors.extend(rep.errors)
     return merged, results
 
 

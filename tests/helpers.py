@@ -1,15 +1,21 @@
-"""Shared test oracles: finite differences, dense rotation matrices, and a
-straight-line numpy reimplementation of the transformer forward pass.
+"""Shared test oracles: finite differences, dense rotation matrices, a
+straight-line numpy reimplementation of the transformer forward pass, and the
+RK4 solve unrolled into elementary tape ops.
 
-Everything here is deliberately independent of the library's autodiff path:
-plain numpy, explicit loops, no tape."""
+Everything here except the unrolled solve is deliberately independent of the
+library's autodiff path: plain numpy, explicit loops, no tape. The unrolled
+solve is built from ad.matmul, ad.silu, ad.add and ad.scale, one node per
+operation, so its gradients come from backpropagation through every stage."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from ropekit import autodiff as ad
 from ropekit.autodiff import Tensor
+from ropekit.continuous import xi
 
 
 def max_rel_err(a, b, floor: float = 1e-8) -> float:
@@ -123,3 +129,28 @@ def reference_forward(params, cfg, tokens, positions, theta, attn_scale_mult=1.0
         x = x + hidden @ w[p + "w2"]
     x = norm(x, w["final_norm"])
     return x @ w["tok_emb"].T
+
+
+def unrolled_dynamics(z, t, net, form):
+    """dz/dt = w_down . silu(w_up . z) + xi_t as a chain of tape ops."""
+    half = net.head_dim // 2
+    hidden = ad.silu(ad.matmul(ad.reshape(z, (1, half)), net.w_up))
+    learned = ad.reshape(ad.matmul(hidden, net.w_down), (half,))
+    return ad.add(learned, ad.constant(xi(t, net.head_dim, form).astype(z.dtype)))
+
+
+def unrolled_solve(z1, t_target, net, form, steps_per_unit):
+    """Fixed-step RK4 from 1 to t_target (> 1) with about 35 tape nodes per
+    step, on the step rule of continuous.solve."""
+    z = ad.as_tensor(z1)
+    n = max(8, math.ceil(steps_per_unit * (t_target - 1.0)))
+    h = (t_target - 1.0) / n
+    for k in range(n):
+        t0 = 1.0 + k * h
+        k1 = unrolled_dynamics(z, t0, net, form)
+        k2 = unrolled_dynamics(ad.add(z, ad.scale(k1, h / 2.0)), t0 + h / 2.0, net, form)
+        k3 = unrolled_dynamics(ad.add(z, ad.scale(k2, h / 2.0)), t0 + h / 2.0, net, form)
+        k4 = unrolled_dynamics(ad.add(z, ad.scale(k3, h)), t0 + h, net, form)
+        incr = ad.add(ad.add(k1, ad.scale(ad.add(k2, k3), 2.0)), k4)
+        z = ad.add(z, ad.scale(incr, h / 6.0))
+    return z

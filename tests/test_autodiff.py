@@ -145,6 +145,10 @@ _A234 = _R2.normal(size=(2, 3, 4))
 _Q, _K, _V = _R2.normal(size=(3, 2, 4, 3))
 # 130 rows: two query blocks of the attention kernel, the second of 2 rows.
 _QB, _KB, _VB = np.random.default_rng(44).normal(size=(3, 1, 130, 2))
+# a 3-dim state, 6 hidden units and 4 RK4 steps of 0.3
+_R3 = np.random.default_rng(45)
+_ODE_Z, _ODE_UP, _ODE_DOWN = _R3.normal(size=3), _R3.normal(scale=0.5, size=(3, 6)), _R3.normal(scale=0.5, size=(6, 3))
+_ODE_DRIFT = _R3.normal(size=(4, 4, 3))
 
 UNARY_CASES = [
     ("exp", lambda x: ad.exp(x), _A34),
@@ -169,6 +173,9 @@ UNARY_CASES = [
     ("causal_attention_blocks_q", lambda q: ad.causal_attention(q, ad.constant(_KB), ad.constant(_VB), 0.7), _QB),
     ("causal_attention_blocks_k", lambda k: ad.causal_attention(ad.constant(_QB), k, ad.constant(_VB), 0.7), _KB),
     ("causal_attention_blocks_v", lambda v: ad.causal_attention(ad.constant(_QB), ad.constant(_KB), v, 0.7), _VB),
+    ("rk4_solve_z", lambda z: ad.rk4_solve(z, ad.constant(_ODE_UP), ad.constant(_ODE_DOWN), _ODE_DRIFT, 0.3), _ODE_Z),
+    ("rk4_solve_w_up", lambda w: ad.rk4_solve(ad.constant(_ODE_Z), w, ad.constant(_ODE_DOWN), _ODE_DRIFT, 0.3), _ODE_UP),
+    ("rk4_solve_w_down", lambda w: ad.rk4_solve(ad.constant(_ODE_Z), ad.constant(_ODE_UP), w, _ODE_DRIFT, 0.3), _ODE_DOWN),
     ("gather", lambda x: ad.gather_rows(x, _IDX), _R.normal(size=(5, 3))),
     ("softmax_cross_entropy", lambda x: ad.softmax_cross_entropy(x, _CE_TARGETS), _A34),
 ]

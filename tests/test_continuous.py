@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import max_rel_err
+from helpers import max_rel_err, unrolled_solve
 
 from ropekit import autodiff as ad
 from ropekit.autodiff import Tensor
@@ -17,7 +18,6 @@ from ropekit.continuous import (
     XiForm,
     build_cache,
     cache_to_json,
-    dynamics,
     position_plan,
     sample_train_factor,
     solve,
@@ -77,21 +77,43 @@ def test_xi_paper_printed_is_derivative_of_profile():
 
 
 # ---------------------------------------------------------------------------
-# dynamics network
+# dynamics network, one RK4 step at a time
+
+
+def _rk4_drift_step(z, drift_row, h):
+    # one RK4 step of dz/dt = drift alone, in rk4_solve's order of operations
+    dt = z.dtype.type
+    return z + ((drift_row[0] + (drift_row[1] + drift_row[2]) * dt(2.0)) + drift_row[3]) * dt(h / 6.0)
 
 
 def test_dynamics_zero_net_is_pure_drift():
+    r = np.random.default_rng(1)
     net = _zero_net(8)
-    z = np.random.default_rng(1).normal(size=4)
-    out = dynamics(z, 2.0, net)
-    assert np.array_equal(out.data, xi(2.0, 8))
+    z = r.normal(size=4)
+    drift = r.normal(size=(3, 4, 4))
+    out = ad.rk4_solve(z, net.w_up, net.w_down, drift, 0.25)
+    expected = z
+    for row in drift:
+        expected = _rk4_drift_step(expected, row, 0.25)
+    assert np.array_equal(out.data, expected)
+    # through solve: a zero net integrates xi alone, at every stage's time
+    t, n = 2.0, 8
+    h = (t - 1.0) / n
+    expected = z
+    for k in range(n):
+        t0 = 1.0 + k * h
+        row = [xi(s, 8) for s in (t0, t0 + h / 2.0, t0 + h / 2.0, t0 + h)]
+        expected = _rk4_drift_step(expected, row, h)
+    assert np.array_equal(solve(z, t, net).data, expected)
 
 
 def test_dynamics_zero_state_silu_kills_learned_term():
+    # silu(0) = 0, so with no drift the origin is a fixed point whatever the net
+    r = np.random.default_rng(2)
     net = _zero_net(8)
-    net.w_down = Tensor(np.random.default_rng(2).normal(size=net.w_down.shape), requires_grad=True)
-    out = dynamics(np.zeros(4), 2.0, net)
-    assert np.allclose(out.data, xi(2.0, 8), rtol=1e-15)
+    net.w_down = Tensor(r.normal(size=net.w_down.shape), requires_grad=True)
+    out = ad.rk4_solve(np.zeros(4), net.w_up, net.w_down, np.zeros((5, 4, 4)), 0.5)
+    assert np.array_equal(out.data, np.zeros(4))
 
 
 def test_dynamics_matches_direct_formula():
@@ -100,16 +122,36 @@ def test_dynamics_matches_direct_formula():
     net.w_up = Tensor(r.normal(size=net.w_up.shape), requires_grad=True)
     net.w_down = Tensor(r.normal(size=net.w_down.shape), requires_grad=True)
     z = r.normal(size=4)
-    out = dynamics(z, 3.0, net, XiForm.PAPER_PRINTED)
-    h = z @ net.w_up.data
-    h = h / (1.0 + np.exp(-h))
-    expected = h @ net.w_down.data + xi(3.0, 8, XiForm.PAPER_PRINTED)
+    t, n = 1.5, 8
+
+    def f(z, t):
+        h = z @ net.w_up.data
+        h = h / (1.0 + np.exp(-h))
+        return h @ net.w_down.data + xi(t, 8, XiForm.PAPER_PRINTED)
+
+    h = (t - 1.0) / n
+    expected = z
+    for k in range(n):
+        t0 = 1.0 + k * h
+        k1 = f(expected, t0)
+        k2 = f(expected + h / 2 * k1, t0 + h / 2)
+        k3 = f(expected + h / 2 * k2, t0 + h / 2)
+        k4 = f(expected + h * k3, t0 + h)
+        expected = expected + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    out = solve(z, t, net, XiForm.PAPER_PRINTED, steps_per_unit=1)
     assert max_rel_err(out.data, expected, floor=1e-12) < 1e-10
 
 
 def test_dynamics_rejects_dim_mismatch():
     with pytest.raises(ValueError):
-        dynamics(np.zeros(3), 2.0, _zero_net(8))
+        solve(np.zeros(3), 2.0, _zero_net(8))
+    net = _zero_net(8)
+    with pytest.raises(ValueError):
+        ad.rk4_solve(np.zeros(4), net.w_up, net.w_down, np.zeros((2, 4, 3)), 0.1)
+    with pytest.raises(ValueError):
+        ad.rk4_solve(np.zeros(4), net.w_up, net.w_up, np.zeros((2, 4, 4)), 0.1)
+    with pytest.raises(ValueError):
+        ad.rk4_solve(np.zeros(4), net.w_up, net.w_down, np.zeros((0, 4, 4)), 0.1)
 
 
 def test_odenet_validation():
@@ -216,6 +258,45 @@ def test_solve_gradients_match_finite_differences():
             fd[i] = (fp - fm) / (2 * h)
         err = max_rel_err(var.grad.reshape(-1), fd, floor=1e-6)
         assert err < 1e-4, f"{name}: {err}"
+
+
+def _solve_and_grads(fn, dtype, form, spu, t):
+    r = np.random.default_rng(5)
+    d = 16
+    net = OdeNet(d, 2, dtype=dtype)
+    net.w_up = Tensor(r.normal(scale=0.3, size=net.w_up.shape).astype(dtype), requires_grad=True)
+    net.w_down = Tensor(r.normal(scale=0.3, size=net.w_down.shape).astype(dtype), requires_grad=True)
+    z1 = Tensor(np.log(default_basis(d).theta).astype(dtype), requires_grad=True)
+    weights = ad.constant(r.normal(size=d // 2).astype(dtype))
+    out = fn(z1, t, net, form, spu)
+    ad.backward(ad.sum_all(ad.mul(out, weights)))
+    return out.data, z1.grad, net.w_up.grad, net.w_down.grad
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_solve_matches_unrolled_reference_bitwise(dtype):
+    # the one-node solve and its discrete adjoint against RK4 unrolled into
+    # elementary tape ops: output and all three gradients, bit for bit
+    for form, spu, t in itertools.product(XiForm, (1, 2, 8), (1.05, 3.3, 7.77, 16.0)):
+        fused = _solve_and_grads(solve, dtype, form, spu, t)
+        unrolled = _solve_and_grads(unrolled_solve, dtype, form, spu, t)
+        for name, a, b in zip(("output", "z1", "w_up", "w_down"), fused, unrolled):
+            assert a.dtype == dtype
+            assert np.array_equal(a, b), f"{name} differs at {form}, spu {spu}, t {t}"
+
+
+def test_solve_is_one_tape_node():
+    net = OdeNet(8, dtype=np.float64)
+    z1 = Tensor(np.log(default_basis(8).theta), requires_grad=True)
+    out = solve(z1, 3.3, net)
+    assert out._parents == (z1, net.w_up, net.w_down)
+    assert all(not p._parents for p in out._parents)
+    assert out._backward.__qualname__.split(".")[0] == "rk4_solve"
+    assert solve(z1, 1.0, net) is z1
+    with ad.no_grad():
+        quiet = solve(z1, 3.3, net)
+    assert quiet._backward is None and quiet._parents == () and not quiet.requires_grad
+    assert np.array_equal(quiet.data, out.data)
 
 
 # ---------------------------------------------------------------------------
