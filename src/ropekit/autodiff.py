@@ -27,7 +27,6 @@ from typing import Sequence
 import numpy as np
 
 _GRAD_ENABLED = True
-_DEBUG_CHECKS = False
 
 _FLOAT_DTYPES = (np.float32, np.float64)
 
@@ -42,12 +41,6 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED = prev
-
-
-def set_debug_checks(on: bool) -> None:
-    """When on, every created tensor is validated to be finite."""
-    global _DEBUG_CHECKS
-    _DEBUG_CHECKS = bool(on)
 
 
 class Tensor:
@@ -70,8 +63,6 @@ class Tensor:
         self.grad = None
         self._parents: tuple[Tensor, ...] = ()
         self._backward = None
-        if _DEBUG_CHECKS and not np.all(np.isfinite(self.data)):
-            raise FloatingPointError("non-finite values in tensor")
 
     @property
     def shape(self) -> tuple[int, ...]:

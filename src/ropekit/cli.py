@@ -15,6 +15,7 @@ import argparse
 import enum
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -38,7 +39,7 @@ from .harness import (
     train,
     write_demo_corpus,
 )
-from .model import ModelConfig
+from .model import ModelConfig, init_params
 from .rotary import default_basis
 from .scaling import alpha, scale_basis
 
@@ -177,13 +178,26 @@ def split_config(cfg: dict) -> tuple[ModelConfig, TrainSettings]:
         if not all(n >= 2 for n in shared["eval_lens"]):
             raise ValueError(f"eval_lens must all be >= 2, got {shared['eval_lens']}")
         m, batch = model_cfg, settings.batch_size
-        limit = np.iinfo(np.intp).max // np.dtype(settings.dtype).itemsize
-        for shape, size in (
-            ("vocab x d_model (the embedding table)", m.vocab * m.d_model),
-            ("d_model x 4 d_model (an MLP weight)", 4 * m.d_model**2),
-            ("batch_size x train_len x vocab (a step's logits)", batch * m.train_len * m.vocab),
-            ("batch_size x n_heads x train_len^2 (a step's attention weights)", batch * m.n_heads * m.train_len**2),
-        ):
+        itemsize = np.dtype(settings.dtype).itemsize
+        arrays = [
+            ("vocab x d_model (the embedding table)", m.vocab * m.d_model, itemsize),
+            ("d_model x 4 d_model (an MLP weight)", 4 * m.d_model**2, itemsize),
+            ("batch_size x train_len x vocab (a step's logits)", batch * m.train_len * m.vocab, itemsize),
+            ("batch_size x n_heads x train_len^2 (a step's attention weights)",
+             batch * m.n_heads * m.train_len**2, itemsize),
+        ]
+        if m.method == "ode":
+            # continuous.solve's float64 drift table at the largest factor the
+            # config solves at; the step count stays a float until it is known
+            # to fit, so an infinite one never reaches int
+            t_max = max(m.t_train, settings.cache_factors[-1],
+                        max(shared["eval_lens"], default=0) / m.train_len)
+            steps = settings.steps_per_unit * (t_max - 1.0)
+            if steps * 2 * m.d_head <= np.iinfo(np.intp).max // 8:
+                steps = max(8, math.ceil(steps))
+            arrays.append(("RK4 steps x 4 x d_head/2 (the ODE solve's drift table)", steps * 2 * m.d_head, 8))
+        for shape, size, itemsize in arrays:
+            limit = np.iinfo(np.intp).max // itemsize
             if size > limit:
                 raise ValueError(f"{shape} is {size} entries, more than a numpy array can hold ({limit})")
     except (TypeError, ValueError) as e:
@@ -281,7 +295,23 @@ def checkpoint_extra(cfg: dict) -> dict:
     }
 
 
-def check_compat(ckpt_extra: dict, cfg: dict) -> None:
+def _spec(t) -> str:
+    return "none" if t is None else f"{t.dtype.name} {tuple(t.shape)}"
+
+
+def _check_tensors(params: dict, expected: dict, names) -> None:
+    """CompatError naming each of names whose checkpoint tensor is absent,
+    or present though not expected, or of another dtype or shape."""
+    bad = [f"{n}: checkpoint has {_spec(params.get(n))}, expected {_spec(expected.get(n))}"
+           for n in sorted(names) if _spec(params.get(n)) != _spec(expected.get(n))]
+    if bad:
+        raise CompatError(f"checkpoint tensors do not match ({'; '.join(bad)})")
+
+
+def check_compat(params: dict, ckpt_extra: dict, cfg: dict) -> None:
+    """The checkpoint's recorded config, then its tensor names, dtypes and
+    shapes, against the resolved cfg. The expected tensors come from the
+    code that makes them: init_params, plus the dynamics net for ode."""
     want = checkpoint_extra(cfg)
     mismatched = []
     for key, value in want["model"].items():
@@ -294,6 +324,11 @@ def check_compat(ckpt_extra: dict, cfg: dict) -> None:
         raise CompatError(
             f"checkpoint is incompatible with config (mismatched: {sorted(set(mismatched))})"
         )
+    model_cfg, settings = split_config(cfg)
+    expected = init_params(model_cfg, settings.dtype)
+    if model_cfg.method == "ode":
+        expected.update(OdeNet(model_cfg.d_head, settings.lambda_amp, settings.dtype).params())
+    _check_tensors(params, expected, set(params) | set(expected))
 
 
 def write_report(run_dir: Path, report: EvalReport, cfg: dict) -> None:
@@ -334,7 +369,7 @@ def cmd_eval(args) -> int:
     model_cfg, settings = split_config(cfg)
     corpus = _load_run_corpus(cfg, eval_lens=cfg["eval_lens"])
     params, extra = _load_checkpoint(args.checkpoint)
-    check_compat(extra, cfg)
+    check_compat(params, extra, cfg)
     run_dir = make_run_dir(cfg, args.out, "eval", model_cfg.method)
     write_resolved_config(run_dir, cfg)
     report = evaluate(params, model_cfg, settings, corpus, cfg["eval_lens"])
@@ -366,20 +401,18 @@ def cmd_basis(args) -> int:
 
     net = None
     if "ode" in methods:
+        try:
+            net = OdeNet(d)  # w_down = 0: pure drift
+        except ValueError as e:
+            raise InputError(str(e)) from None
         if args.checkpoint:
             params, _ = _load_checkpoint(args.checkpoint)
-            if "ode.w_up" not in params:
-                raise CompatError("checkpoint has no dynamics-network parameters")
-            if params["ode.w_up"].shape[0] != d // 2:
-                raise CompatError(
-                    f"checkpoint head dim {2 * params['ode.w_up'].shape[0]} != requested {d}"
-                )
+            # the width of w_up gives lambda_amp, and its dtype the precision
+            w_up = params.get("ode.w_up", np.empty((0, 0)))
+            lambda_amp = max(1, w_up.shape[1] // d) if w_up.ndim == 2 else 1
+            expected = OdeNet(d, lambda_amp, w_up.dtype).params()
+            _check_tensors(params, expected, expected)
             net = OdeNet.from_params(d, params["ode.w_up"], params["ode.w_down"])
-        else:
-            try:
-                net = OdeNet(d, rng=np.random.default_rng(0))  # w_down = 0: pure drift
-            except ValueError as e:
-                raise InputError(str(e)) from None
 
     base = default_basis(d)
     lines = ["method,t,i,theta_i"]
@@ -387,7 +420,7 @@ def cmd_basis(args) -> int:
         for t in t_values:
             try:
                 if method == "ode":
-                    basis = solve_basis(base, t, net, xi_form, args.steps_per_unit)
+                    basis = solve_basis(t, net, xi_form, args.steps_per_unit)
                 else:
                     basis = scale_basis(base, alpha(method, t, d))
             except ValueError as e:
@@ -420,7 +453,7 @@ def cmd_compare(args) -> int:
         params = None
         if run_doc.get("checkpoint"):
             params, extra = _load_checkpoint(run_doc["checkpoint"])
-            check_compat(extra, merged)
+            check_compat(params, extra, merged)
         entries.append(CompareEntry(model_cfg, settings, params, label))
     if len(set(labels)) != len(labels):
         raise InputError(f"duplicate run labels: {labels}; set distinct 'label' keys")

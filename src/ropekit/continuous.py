@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .rotary import FrequencyBasis
+from .rotary import FrequencyBasis, default_basis
 from .scaling import _check_factor
 
 
@@ -83,12 +83,6 @@ class OdeNet:
         return net
 
 
-def _as_state(z, dtype=None) -> Tensor:
-    if isinstance(z, Tensor):
-        return z
-    return ad.constant(np.asarray(z, dtype=dtype))
-
-
 def solve(
     z1,
     t_target: float,
@@ -107,7 +101,7 @@ def solve(
     t_target = _check_factor(t_target)
     if steps_per_unit < 1:
         raise ValueError(f"steps_per_unit must be >= 1, got {steps_per_unit}")
-    z = _as_state(z1, dtype=net.w_up.dtype)
+    z = ad.as_tensor(z1, dtype=net.w_up.dtype)
     if t_target == 1.0:
         return z
     n = max(8, math.ceil(steps_per_unit * (t_target - 1.0)))
@@ -124,17 +118,18 @@ def solve(
 
 
 def solve_basis(
-    basis: FrequencyBasis,
     t_target: float,
     net: OdeNet,
     form: XiForm = XiForm.LOG_DERIVATIVE,
     steps_per_unit: int = 8,
 ) -> FrequencyBasis:
-    """Solved frequency basis exp(z(t)) as a plain (non-graph) basis."""
+    """The stock basis default_basis(net.head_dim) solved to t_target, as a
+    plain (non-graph) basis exp(z(t_target))."""
+    base = default_basis(net.head_dim)
     with ad.no_grad():
-        z = solve(np.log(basis.theta), t_target, net, form, steps_per_unit)
+        z = solve(np.log(base.theta), t_target, net, form, steps_per_unit)
         theta = np.exp(z.data.astype(np.float64))
-    return FrequencyBasis(theta, basis.head_dim, basis.base)
+    return FrequencyBasis(theta, base.head_dim, base.base)
 
 
 def sample_train_factor(t_train: float, rng: np.random.Generator) -> float:
@@ -191,41 +186,32 @@ class BasisCache:
             raise ValueError("native_len must be positive")
 
 
-def build_cache(
-    net: OdeNet,
-    form: XiForm,
-    t_ks,
-    base_basis: FrequencyBasis,
-    native_len: int,
-    steps_per_unit: int = 8,
-) -> BasisCache:
-    """Solve the dynamics once per requested factor and freeze the results."""
-    t_ks = [float(t) for t in t_ks]
-    bases = tuple(solve_basis(base_basis, t, net, form, steps_per_unit) for t in t_ks)
-    return BasisCache(native_len, tuple(t_ks), bases)
+def build_cache(solver: Callable[[float], FrequencyBasis], t_ks, native_len: int) -> BasisCache:
+    """Call solver (a factor -> solved basis map, such as a solve_basis
+    closure over one net) once per requested factor and freeze the results."""
+    t_ks = tuple(float(t) for t in t_ks)
+    return BasisCache(native_len, t_ks, tuple(solver(t) for t in t_ks))
 
 
 class CacheSession:
-    """Lookup frontend holding session-local on-demand extensions."""
+    """Lookup frontend over a frozen cache and the solver that built it."""
 
     def __init__(self, cache: BasisCache, solver: Callable[[float], FrequencyBasis]):
         self.cache = cache
         self._solver = solver
-        self._extra: dict[float, FrequencyBasis] = {}
 
     def lookup(self, seq_len: int) -> tuple[float, FrequencyBasis]:
         """(factor, basis) for the smallest cached factor whose supported
-        length covers seq_len; beyond the cache, solve on demand at
-        t = seq_len/native_len and keep the result in this session only."""
+        length covers seq_len; beyond the cache, the solver's basis at
+        t = seq_len/native_len, solved afresh on every call and never added
+        to the cache."""
         if seq_len < 1:
             raise ValueError(f"seq_len must be >= 1, got {seq_len}")
         for t, basis in zip(self.cache.factors, self.cache.bases):
             if t * self.cache.native_len >= seq_len:
                 return t, basis
         t = seq_len / self.cache.native_len
-        if t not in self._extra:
-            self._extra[t] = self._solver(t)
-        return t, self._extra[t]
+        return t, self._solver(t)
 
 
 def cache_to_json(cache: BasisCache) -> dict:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -173,9 +173,6 @@ def train(cfg: ModelConfig, settings: TrainSettings, corpus: Corpus) -> TrainRes
         params.update(net.params())
         z1 = np.log(default_basis(cfg.d_head).theta).astype(dtype)
 
-    static = None
-    if cfg.method in ("rope", "pi", "yarn", "codellama"):
-        static = method_inputs(cfg, cfg.train_len)[:2]
     opt = Adam(params, settings.lr, settings.beta1, settings.beta2, settings.eps,
                grad_clip=settings.grad_clip)
 
@@ -183,18 +180,18 @@ def train(cfg: ModelConfig, settings: TrainSettings, corpus: Corpus) -> TrainRes
     for step in range(settings.steps):
         inputs, targets = sample_train_batch(corpus, cfg.train_len, settings.batch_size, rng)
         t_prime = None
-        if static is not None:
-            positions, theta = static
-        elif cfg.method == "randompos":
+        if cfg.method == "randompos":
             seed = int(rng.integers(0, 2**63))
             positions = position_plan(cfg.train_len, cfg.t_train, PlanMode.RANDOM_SAMPLED, seed)
             theta = default_basis(cfg.d_head)
-        else:  # ode
+        elif cfg.method == "ode":
             t_prime = sample_train_factor(cfg.t_train, rng)
             seed = int(rng.integers(0, 2**63))
             positions = position_plan(cfg.train_len, t_prime, settings.position_mode, seed)
             zt = solve(z1, t_prime, net, settings.xi_form, settings.steps_per_unit)
             theta = ad.exp(zt)
+        else:
+            positions, theta, _ = method_inputs(cfg, cfg.train_len)
 
         logits = forward(params, cfg, inputs, positions, theta, 1.0)
         loss = ad.softmax_cross_entropy(logits, targets)
@@ -236,8 +233,8 @@ def method_inputs(
     cfg: ModelConfig, length: int, session: CacheSession | None = None
 ) -> tuple[np.ndarray, FrequencyBasis, float]:
     """(positions, basis, t) that cfg.method feeds the model at a sequence
-    length. Training uses it at cfg.train_len for the methods whose inputs
-    are fixed; evaluation uses it at every length.
+    length. Training uses it at cfg.train_len, at every step, for the
+    methods that draw no random inputs; evaluation uses it at every length.
 
     rope and randompos use natural positions and the stock basis. pi and
     yarn self-extend their factor past t_fixed*train_len: pi divides the
@@ -273,7 +270,7 @@ class EvalRow:
     acc: float
 
 
-CSV_HEADER = "method,train_len,eval_len,eval_t,attn_scale_mult,ppl,acc"
+CSV_HEADER = ",".join(f.name for f in fields(EvalRow))
 
 
 @dataclass
@@ -289,30 +286,19 @@ class EvalReport:
     cache: BasisCache | None = field(default=None, compare=False)
 
     def to_csv(self) -> str:
+        """One line per row in EvalRow's field order: floats at 6 decimals,
+        everything else as str gives it."""
         lines = [CSV_HEADER]
         for r in self.rows:
-            lines.append(
-                f"{r.method},{r.train_len},{r.eval_len},"
-                f"{r.eval_t:.6f},{r.attn_scale_mult:.6f},{r.ppl:.6f},{r.acc:.6f}"
-            )
+            values = (getattr(r, f.name) for f in fields(EvalRow))
+            lines.append(",".join(f"{v:.6f}" if isinstance(v, float) else str(v) for v in values))
         return "\n".join(lines) + "\n"
 
     def to_json_doc(self, meta: dict | None = None) -> dict:
         return {
             "meta": meta or {},
             "errors": list(self.errors),
-            "rows": [
-                {
-                    "method": r.method,
-                    "train_len": r.train_len,
-                    "eval_len": r.eval_len,
-                    "eval_t": r.eval_t,
-                    "attn_scale_mult": r.attn_scale_mult,
-                    "ppl": r.ppl,
-                    "acc": r.acc,
-                }
-                for r in self.rows
-            ],
+            "rows": [asdict(r) for r in self.rows],
         }
 
     def row(self, method: str, eval_len: int) -> EvalRow:
@@ -322,15 +308,8 @@ class EvalReport:
         raise KeyError(f"no row for ({method}, {eval_len})")
 
 
-def _as_param_tensors(params: dict) -> dict[str, Tensor]:
-    return {
-        k: v if isinstance(v, Tensor) else Tensor(v, requires_grad=False)
-        for k, v in params.items()
-    }
-
-
 def score_windows(
-    params: dict[str, Tensor],
+    params: dict[str, Tensor | np.ndarray],
     cfg: ModelConfig,
     windows: np.ndarray,
     positions: np.ndarray,
@@ -339,8 +318,9 @@ def score_windows(
     batch_size: int,
 ) -> tuple[float, int, int]:
     """Sum of next-token NLL (in float64), correct argmax count, and
-    prediction count over the given eval windows. The last position of each
-    window has no target and is skipped."""
+    prediction count over the given eval windows. params may hold Tensors
+    or a loaded checkpoint's arrays. The last position of each window has
+    no target and is skipped."""
     nll_sum = 0.0
     correct = 0
     count = 0
@@ -363,20 +343,18 @@ def make_cache_session(
     params: dict, cfg: ModelConfig, settings: TrainSettings
 ) -> tuple[BasisCache, CacheSession]:
     """Basis cache for an ode-method checkpoint plus a lookup session that
-    can solve on demand past the cached factors."""
+    solves on demand past the cached factors, both from one solver."""
     net = OdeNet.from_params(cfg.d_head, params["ode.w_up"], params["ode.w_down"])
-    base = default_basis(cfg.d_head)
-    cache = build_cache(net, settings.xi_form, settings.cache_factors, base,
-                        cfg.train_len, settings.steps_per_unit)
 
     def solver(t: float) -> FrequencyBasis:
-        return solve_basis(base, t, net, settings.xi_form, settings.steps_per_unit)
+        return solve_basis(t, net, settings.xi_form, settings.steps_per_unit)
 
+    cache = build_cache(solver, settings.cache_factors, cfg.train_len)
     return cache, CacheSession(cache, solver)
 
 
 def evaluate(
-    params: dict,
+    params: dict[str, Tensor | np.ndarray],
     cfg: ModelConfig,
     settings: TrainSettings,
     corpus: Corpus,
@@ -391,7 +369,6 @@ def evaluate(
     """
     cfg.validate()
     settings.validate()
-    params = _as_param_tensors(params)
     label = label or cfg.method
     report = EvalReport()
     session = None

@@ -49,14 +49,13 @@ def default_basis(head_dim: int, base: float = 10000.0) -> FrequencyBasis:
     return FrequencyBasis(base ** (-2.0 * i / head_dim), head_dim, base)
 
 
-def theta_tensor(basis, dtype) -> Tensor:
-    """Frequencies as a graph tensor: a Tensor passes through unchanged, a
-    FrequencyBasis or raw theta vector becomes a constant of the given dtype."""
+def theta_tensor(basis: Tensor | FrequencyBasis, dtype) -> Tensor:
+    """Frequencies as a graph tensor: a Tensor (such as a solved, trainable
+    basis) passes through unchanged, a FrequencyBasis becomes a constant of
+    the given dtype."""
     if isinstance(basis, Tensor):
         return basis
-    if isinstance(basis, FrequencyBasis):
-        return ad.constant(basis.theta.astype(dtype, copy=False))
-    return ad.constant(np.asarray(basis, dtype=dtype))
+    return ad.constant(basis.theta.astype(dtype, copy=False))
 
 
 def rotate_sequences(x: Tensor, positions, theta: Tensor) -> Tensor:
@@ -74,22 +73,17 @@ def rotate_sequences(x: Tensor, positions, theta: Tensor) -> Tensor:
     return ad.rotate_pairs(x, positions, theta)
 
 
-def apply_rotary(x, m: float, basis):
-    """Rotate one d-vector to position m.
-
-    Accepts a plain array (returns an array) or a graph Tensor (returns a
-    Tensor); basis may be a FrequencyBasis, a raw theta vector, or a Tensor.
-    """
-    is_tensor = isinstance(x, Tensor)
-    xt = x if is_tensor else Tensor(np.asarray(x, dtype=np.float64))
-    d = xt.shape[-1]
-    if xt.ndim != 1:
-        raise ValueError(f"apply_rotary expects a vector, got shape {xt.shape}")
+def apply_rotary(x, m: float, basis: Tensor | FrequencyBasis) -> np.ndarray:
+    """Rotate one d-vector, given as a plain array, to position m; returns
+    a float64 array."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError(f"apply_rotary expects a vector, got shape {x.shape}")
+    d = x.shape[0]
     if d % 2 != 0:
         raise ValueError(f"vector length must be even, got {d}")
-    theta = theta_tensor(basis, xt.dtype)
-    out = ad.reshape(rotate_sequences(ad.reshape(xt, (1, d)), [m], theta), (d,))
-    return out if is_tensor else out.data
+    theta = theta_tensor(basis, x.dtype)
+    return rotate_sequences(ad.constant(x.reshape(1, d)), [m], theta).data.reshape(d)
 
 
 def pair_score(q, k, m: float, n: float, basis) -> float:

@@ -5,10 +5,12 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ropekit.checkpoint import load_checkpoint, save_checkpoint
 from ropekit.cli import DEFAULTS, main
 from ropekit.harness import write_demo_corpus
 from ropekit.rotary import default_basis
@@ -210,6 +212,37 @@ def test_train_non_finite_scale_factor_exits_2(tmp_path, capsys, corpus_file, co
     assert not (tmp_path / "runs").exists()
 
 
+_DRIFT_TABLE = "RK4 steps x 4 x d_head/2 (the ODE solve's drift table) is"
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("train", {"method": "ode", "steps_per_unit": 2**60}),
+    ("eval", {"method": "ode", "steps_per_unit": 2**60}),
+    ("train", {"method": "ode", "t_train": 1e300}),
+    ("train", {"method": "ode", "t_train": 1e308, "steps_per_unit": 2**62}),
+    ("eval", {"method": "ode", "cache_factors": [1.0, 1e300]}),
+    ("eval", {"method": "ode", "eval_lens": [128, 2**62]}),
+], ids=["train_steps_per_unit", "eval_steps_per_unit", "train_t_train", "train_infinite_steps",
+        "eval_cache_factor", "eval_length"])
+def test_ode_drift_table_too_big_exits_2_before_corpus_load(tmp_path, capsys, command, doc):
+    # the largest factor solved at is t_train, the last cache factor or the
+    # longest eval length over train_len
+    cfg = write_config(tmp_path, {"corpus": str(tmp_path / "absent.bin"), **doc})
+    argv = [command, "-c", str(cfg), "-o", str(tmp_path / "runs")]
+    if command == "eval":
+        argv += ["--checkpoint", str(tmp_path / "absent")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {_DRIFT_TABLE}") and "Traceback" not in err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_drift_table_row_applies_to_ode_only(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"corpus": str(tmp_path / "absent.bin"), "steps_per_unit": 2**60})
+    assert main(["train", "-c", str(cfg), "-o", str(tmp_path / "runs")]) == 2
+    assert "corpus not found" in capsys.readouterr().err
+
+
 def test_train_writes_outputs(tmp_path, corpus_file):
     cfg = write_config(tmp_path, tiny_config(corpus_file))
     out = tmp_path / "runs"
@@ -316,6 +349,71 @@ def test_eval_checkpoint_mismatch_exits_3(tmp_path, corpus_file, capsys):
     ])
     assert code == 3
     assert "incompatible" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def ode_checkpoint(tmp_path_factory, corpus_file):
+    """(config path, checkpoint path) of a tiny ode run."""
+    tmp = tmp_path_factory.mktemp("ode")
+    cfg = write_config(tmp, tiny_config(corpus_file, method="ode", t_train=2.0, cache_factors=[1.0, 2.0]))
+    assert main(["train", "-c", str(cfg), "-o", str(tmp / "runs")]) == 0
+    (run_dir,) = run_dirs(tmp / "runs")
+    return cfg, run_dir / "checkpoint"
+
+
+def _damaged(tmp_path, ode_checkpoint, name, shape):
+    """The ode checkpoint without tensor name (shape None) or with zeros of
+    another shape in its place."""
+    params, extra = load_checkpoint(ode_checkpoint[1])
+    if shape is None:
+        del params[name]
+    else:
+        params[name] = np.zeros(shape, dtype=params[name].dtype)
+    save_checkpoint(tmp_path / "damaged", params, extra)
+    return tmp_path / "damaged"
+
+
+_DAMAGE = [("layers.0.wq", None), ("ode.w_down", (3, 4)), ("layers.0.w1", (16, 5))]
+_DAMAGE_IDS = ["no_wq", "w_down_3_rows", "w1_5_columns"]
+
+
+@pytest.mark.parametrize("name, shape", _DAMAGE, ids=_DAMAGE_IDS)
+def test_eval_checkpoint_tensor_mismatch_exits_3(tmp_path, capsys, ode_checkpoint, name, shape):
+    ckpt = _damaged(tmp_path, ode_checkpoint, name, shape)
+    argv = ["eval", "-c", str(ode_checkpoint[0]), "--checkpoint", str(ckpt), "-o", str(tmp_path / "runs")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: checkpoint tensors do not match") and f"{name}: checkpoint has" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("name, shape", _DAMAGE, ids=_DAMAGE_IDS)
+def test_compare_checkpoint_tensor_mismatch_exits_3(tmp_path, capsys, corpus_file, ode_checkpoint, name, shape):
+    ckpt = _damaged(tmp_path, ode_checkpoint, name, shape)
+    doc = json.loads(ode_checkpoint[0].read_text())
+    doc["runs"] = [{"checkpoint": str(ckpt)}]
+    cfg = write_config(tmp_path, doc)
+    assert main(["compare", "-c", str(cfg), "-o", str(tmp_path / "runs")]) == 3
+    err = capsys.readouterr().err
+    assert f"{name}: checkpoint has" in err and "Traceback" not in err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("name, shape", [
+    ("ode.w_down", None), ("ode.w_up", None), ("ode.w_down", (5, 4)), ("ode.w_up", (4, 12)),
+], ids=["no_w_down", "no_w_up", "w_down_5x4", "w_up_4x12"])
+def test_basis_checkpoint_tensor_mismatch_exits_3(tmp_path, capsys, ode_checkpoint, name, shape):
+    ckpt = _damaged(tmp_path, ode_checkpoint, name, shape)
+    assert main(["basis", "-d", "8", "--methods", "ode", "--t", "2", "--checkpoint", str(ckpt)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: checkpoint tensors do not match") and f"{name}: checkpoint has" in err
+    assert "Traceback" not in err
+
+
+def test_basis_reads_a_checkpoint_net(capsys, ode_checkpoint):
+    assert main(["basis", "-d", "8", "--methods", "ode", "--t", "2", "--checkpoint", str(ode_checkpoint[1])]) == 0
+    assert capsys.readouterr().out.count("\node,") == 4
 
 
 def test_eval_ode_writes_cache(tmp_path, corpus_file):

@@ -182,7 +182,7 @@ def test_solve_zero_net_reduces_to_geometric_profile():
         base = default_basis(d)
         net = _zero_net(d)
         for t in (2.0, 4.0):
-            solved = solve_basis(base, t, net, XiForm.LOG_DERIVATIVE)
+            solved = solve_basis(t, net, XiForm.LOG_DERIVATIVE)
             expected = scale_basis(base, alpha_yarn(t, d))
             assert max_rel_err(solved.theta, expected.theta) < 1e-6
 
@@ -206,7 +206,7 @@ def test_solve_step_count_floor():
     base = default_basis(d)
     net = _zero_net(d)
     t = 1.05
-    solved = solve_basis(base, t, net)
+    solved = solve_basis(t, net)
     expected = scale_basis(base, alpha_yarn(t, d))
     assert max_rel_err(solved.theta, expected.theta) < 1e-9
 
@@ -378,34 +378,58 @@ def test_plan_seed_reproducible():
 # basis cache
 
 
+def _solver(net, form=XiForm.LOG_DERIVATIVE):
+    return lambda t: solve_basis(t, net, form)
+
+
+def test_solve_basis_starts_from_the_stock_basis():
+    net = _zero_net(8)
+    net.w_down.data[:] = 0.01
+    z = solve(np.log(default_basis(8).theta), 3.0, net)
+    assert np.array_equal(solve_basis(3.0, net).theta, np.exp(z.data))
+    at_one = solve_basis(1.0, net)
+    assert max_rel_err(at_one.theta, default_basis(8).theta) < 1e-15 and at_one.base == 10000.0
+
+
 def test_cache_single_entry_matches_base():
     base = default_basis(8)
-    cache = build_cache(_zero_net(8), XiForm.LOG_DERIVATIVE, [1.0], base, 128)
+    cache = build_cache(_solver(_zero_net(8)), [1.0], 128)
     assert max_rel_err(cache.bases[0].theta, base.theta) < 1e-12
 
 
 def test_cache_entries_match_fresh_solves():
-    base = default_basis(8)
     net = _zero_net(8)
-    cache = build_cache(net, XiForm.LOG_DERIVATIVE, [1.0, 2.0, 3.0, 4.0], base, 128)
+    cache = build_cache(_solver(net), [1.0, 2.0, 3.0, 4.0], 128)
+    assert cache.factors == (1.0, 2.0, 3.0, 4.0)
     for t, cached in zip(cache.factors, cache.bases):
-        fresh = solve_basis(base, t, net, XiForm.LOG_DERIVATIVE)
+        fresh = solve_basis(t, net, XiForm.LOG_DERIVATIVE)
         assert np.array_equal(cached.theta, fresh.theta)
+
+
+def test_cache_calls_the_solver_once_per_factor():
+    calls = []
+
+    def solver(t):
+        calls.append(t)
+        return default_basis(8)
+
+    cache = build_cache(solver, [1, 2.5, 4], 64)
+    assert calls == [1.0, 2.5, 4.0] and cache.factors == (1.0, 2.5, 4.0)
+    assert cache.native_len == 64
 
 
 def test_cache_rejects_unsorted():
     base = default_basis(8)
     with pytest.raises(ValueError):
-        build_cache(_zero_net(8), XiForm.LOG_DERIVATIVE, [2.0, 1.0], base, 128)
+        build_cache(_solver(_zero_net(8)), [2.0, 1.0], 128)
     with pytest.raises(ValueError):
         BasisCache(128, (0.5, 1.0), (base, base))
 
 
 def test_lookup_exact_fit_and_upper_bound():
-    base = default_basis(8)
     net = _zero_net(8)
-    cache = build_cache(net, XiForm.LOG_DERIVATIVE, [1.0, 2.0, 4.0, 8.0], base, 128)
-    session = CacheSession(cache, lambda t: solve_basis(base, t, net))
+    cache = build_cache(_solver(net), [1.0, 2.0, 4.0, 8.0], 128)
+    session = CacheSession(cache, _solver(net))
     t, basis = session.lookup(128)
     assert t == 1.0 and np.array_equal(basis.theta, cache.bases[0].theta)
     t, basis = session.lookup(300)  # 2*128 < 300 <= 4*128
@@ -415,38 +439,49 @@ def test_lookup_exact_fit_and_upper_bound():
 
 
 def test_lookup_beyond_cache_solves_on_demand():
-    base = default_basis(8)
     net = _zero_net(8)
-    cache = build_cache(net, XiForm.LOG_DERIVATIVE, [1.0, 2.0, 4.0, 8.0], base, 128)
-
-    def solver(t):
-        return solve_basis(base, t, net, XiForm.LOG_DERIVATIVE)
-
+    solver = _solver(net)
+    cache = build_cache(solver, [1.0, 2.0, 4.0, 8.0], 128)
     session = CacheSession(cache, solver)
     t, basis = session.lookup(2000)
     assert t == 2000 / 128 == 15.625
     assert np.array_equal(basis.theta, solver(15.625).theta)
-    # recorded in the session, not the cache
-    assert 15.625 in session._extra
     assert cache.factors == (1.0, 2.0, 4.0, 8.0)
-    other = CacheSession(cache, solver)
-    assert not other._extra
+
+
+def test_repeated_lookups_past_the_cache_call_the_solver_each_time():
+    net = _zero_net(8)
+    calls = []
+
+    def solver(t):
+        calls.append(t)
+        return solve_basis(t, net)
+
+    cache = build_cache(solver, [1.0, 2.0], 128)
+    session = CacheSession(cache, solver)
+    calls.clear()
+    for _ in range(3):
+        t, basis = session.lookup(1100)
+        assert t == 1100 / 128
+        assert np.array_equal(basis.theta, solve_basis(t, net).theta)
+        assert cache.factors == (1.0, 2.0) and len(cache.bases) == 2
+    assert calls == [1100 / 128] * 3
+    session.lookup(200)  # within the cache: no solve
+    assert len(calls) == 3
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 4096))
 def test_lookup_is_conservative(seq_len):
-    base = default_basis(8)
     net = _zero_net(8)
-    cache = build_cache(net, XiForm.LOG_DERIVATIVE, [1.0, 2.0, 4.0, 8.0], base, 128)
-    session = CacheSession(cache, lambda t: solve_basis(base, t, net))
+    cache = build_cache(_solver(net), [1.0, 2.0, 4.0, 8.0], 128)
+    session = CacheSession(cache, _solver(net))
     t, _ = session.lookup(seq_len)
     assert t * cache.native_len >= seq_len
 
 
 def test_cache_json_roundtrip():
-    base = default_basis(8)
-    cache = build_cache(_zero_net(8), XiForm.LOG_DERIVATIVE, [1.0, 2.0], base, 32)
+    cache = build_cache(_solver(_zero_net(8)), [1.0, 2.0], 32)
     doc = json.loads(json.dumps(cache_to_json(cache)))
     assert doc["native_len"] == 32 and doc["head_dim"] == 8
     assert [e["t"] for e in doc["entries"]] == list(cache.factors)

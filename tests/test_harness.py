@@ -1,11 +1,15 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ropekit import autodiff as ad
+from ropekit.checkpoint import load_checkpoint, save_checkpoint
 from ropekit.continuous import PlanMode, position_plan, solve
 from ropekit.harness import (
+    CSV_HEADER,
     CompareEntry,
     Corpus,
     EvalReport,
@@ -348,6 +352,19 @@ def test_evaluate_ode_on_demand_beyond_cache(text_corpus):
         assert np.array_equal(got.theta, want.theta)
 
 
+@pytest.mark.parametrize("method, kw", [("rope", {}), ("yarn", {"t_fixed": 2.0}), ("ode", {"t_train": 2.0})])
+def test_evaluate_checkpoint_arrays_match_trained_tensors(text_corpus, tmp_path, method, kw):
+    cfg = tiny_cfg(method=method, seed=13, **kw)
+    settings = tiny_settings(cache_factors=(1.0, 2.0))
+    result = train(cfg, settings, text_corpus)
+    save_checkpoint(tmp_path / "ckpt", result.params)
+    arrays, _ = load_checkpoint(tmp_path / "ckpt")
+    assert not any(isinstance(v, ad.Tensor) for v in arrays.values())
+    lens = [32, 64, 96]  # 96 lies past the cache for ode
+    from_arrays = evaluate(arrays, cfg, settings, text_corpus, lens)
+    assert from_arrays.rows == evaluate(result.params, cfg, settings, text_corpus, lens).rows
+
+
 def test_evaluate_rejects_tiny_lengths(text_corpus):
     cfg = tiny_cfg()
     params = init_params(cfg, dtype=np.float32)
@@ -406,6 +423,17 @@ def test_report_csv_schema():
     lines = text.strip().split("\n")
     assert lines[0] == "method,train_len,eval_len,eval_t,attn_scale_mult,ppl,acc"
     assert lines[1] == "rope,32,64,1.000000,1.250000,17.500000,0.250000"
+    assert report.to_json_doc()["rows"] == [{
+        "method": "rope", "train_len": 32, "eval_len": 64, "eval_t": 1.0,
+        "attn_scale_mult": 1.25, "ppl": 17.5, "acc": 0.25,
+    }]
+
+
+def test_csv_header_is_the_readme_schema():
+    # EvalRow's field order is the file format; README states it literally
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (schema,) = re.findall(r"schema `(method,[^`]*)`", readme)
+    assert CSV_HEADER == schema
 
 
 def test_extrapolation_breakpoints():

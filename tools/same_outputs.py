@@ -10,7 +10,8 @@ PYTHONPATH, each in a fresh output directory):
 - `ropekit compare` of rope, pi, yarn, codellama, randompos and ode with
   steps 40, t_train 4, t_fixed 4 and eval_lens [128, 256, 512, 1100], once in
   float32 and once in float64;
-- `ropekit eval` of each compare's ode checkpoint at [128, 1100];
+- `ropekit eval` of each compare's ode checkpoint at [128, 1100, 1100], so
+  that a length past the cache is looked up twice in one session;
 - `ropekit basis -d 16 --methods identity,pi,yarn,codellama,ode --t 1,2.5,8`.
 
 It then compares the sha256 of every file, each command's stdout included,
@@ -74,7 +75,7 @@ def run_protocol(tree: Path, out: Path) -> None:
         ropekit(f"compare-{precision}", "compare", "-c", f"compare-{precision}.json", "-o", precision)
         (checkpoint,) = runs.glob("*-compare-*/ode/checkpoint")
         (out / f"eval-{precision}.json").write_text(
-            json.dumps({**doc, "method": "ode", "eval_lens": [128, 1100]}))
+            json.dumps({**doc, "method": "ode", "eval_lens": [128, 1100, 1100]}))
         ropekit(f"eval-{precision}", "eval", "-c", f"eval-{precision}.json", "-o", precision,
                 "--checkpoint", str(checkpoint.relative_to(out)))
     ropekit("basis", "basis", "-d", "16", "--methods", "identity,pi,yarn,codellama,ode",
