@@ -23,12 +23,19 @@ _DTYPE_TAGS = {"float32": "<f4", "float64": "<f8"}
 _ENTRY_KEYS = ("name", "dtype", "shape", "offset", "nbytes")
 
 
-def _write_replace(path: Path, data: bytes) -> None:
-    """Write through a temp file and os.replace: path ends up either as it
-    was or holding all of data."""
+def write_replace(path, data: bytes) -> None:
+    """Write through a temp file next to path and os.replace: path ends up
+    either as it was or holding all of data, and a failed write takes its
+    temp file with it."""
+    path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def save_checkpoint(path, params: dict, extra: dict | None = None) -> None:
@@ -60,9 +67,9 @@ def save_checkpoint(path, params: dict, extra: dict | None = None) -> None:
     # Old manifest out, params.bin in, new manifest in: a crash part way leaves
     # no manifest rather than one describing a missing, partial or older blob.
     (path / "manifest.json").unlink(missing_ok=True)
-    _write_replace(path / "params.bin", bytes(blob))
+    write_replace(path / "params.bin", bytes(blob))
     text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    _write_replace(path / "manifest.json", text.encode())
+    write_replace(path / "manifest.json", text.encode())
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:

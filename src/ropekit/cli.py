@@ -400,7 +400,8 @@ def cmd_basis(args) -> int:
         raise InputError(str(e)) from None
 
     net = None
-    if "ode" in methods:
+    # a given checkpoint is read and checked even when no ode row uses it
+    if "ode" in methods or args.checkpoint:
         try:
             net = OdeNet(d)  # w_down = 0: pure drift
         except ValueError as e:
@@ -487,7 +488,17 @@ def cmd_compare(args) -> int:
 def cmd_corpus(args) -> int:
     if args.bytes < 1:
         raise InputError("corpus size must be positive")
-    write_demo_corpus(args.out, args.bytes, args.seed)
+    if args.seed < 0:
+        raise InputError(f"--seed must be a non-negative integer, got {args.seed}")
+    out = Path(args.out)
+    if not out.parent.is_dir():
+        raise InputError(f"output directory does not exist: {out.parent}")
+    if out.is_dir():
+        raise InputError(f"output path is a directory: {out}")
+    try:
+        write_demo_corpus(out, args.bytes, args.seed)
+    except OSError as e:
+        raise InputError(f"cannot write {out}: {e}") from None
     print(f"wrote {args.bytes} bytes to {args.out}", file=sys.stderr)
     return 0
 

@@ -8,12 +8,14 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_right
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .checkpoint import write_replace
 from .continuous import (
     BasisCache,
     CacheSession,
@@ -488,23 +490,38 @@ _WORDS = (
 ).split()
 
 
+def _choice_cdf(weights: np.ndarray) -> list[float]:
+    """The cumulative table that Generator.choice(p=weights) builds on every call."""
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
 def demo_corpus_bytes(n_bytes: int, seed: int = 0) -> bytes:
     """Deterministic pseudo-English byte stream: Zipf-weighted words plus a
     bank of recurring multi-word phrases, grouped into sentences and
     paragraphs. Compressible enough for a tiny byte-level model to learn
-    real structure from; fixed given (n_bytes, seed)."""
+    real structure from; fixed given (n_bytes, seed).
+
+    Sampling rule: every weighted pick is bisect_right(cdf, rng.random()),
+    with cdf built once per table as Generator.choice(p=weights) builds it
+    on each call (cumsum, divided by its last entry). That is choice's draw
+    from the same one double, so the bytes are those of one rng.choice per
+    pick."""
     rng = np.random.default_rng(seed)
     n_words = len(_WORDS)
     ranks = np.arange(n_words, dtype=np.float64)
     weights = 1.0 / (ranks + 2.0) ** 1.1
     weights /= weights.sum()
+    word_cdf = _choice_cdf(weights)
     # recurring collocations give the text verbatim n-grams worth copying
     phrases = [
-        " ".join(_WORDS[j] for j in rng.choice(n_words, size=rng.integers(2, 5), p=weights))
+        " ".join(_WORDS[bisect_right(word_cdf, u)] for u in rng.random(int(rng.integers(2, 5))).tolist())
         for _ in range(400)
     ]
     phrase_weights = 1.0 / (np.arange(len(phrases), dtype=np.float64) + 2.0)
     phrase_weights /= phrase_weights.sum()
+    phrase_cdf = _choice_cdf(phrase_weights)
 
     pieces: list[str] = []
     total = 0
@@ -514,9 +531,9 @@ def demo_corpus_bytes(n_bytes: int, seed: int = 0) -> bytes:
         units = []
         for _ in range(int(rng.integers(2, 6))):
             if rng.random() < 0.6:
-                units.append(phrases[int(rng.choice(len(phrases), p=phrase_weights))])
+                units.append(phrases[bisect_right(phrase_cdf, rng.random())])
             else:
-                units.append(_WORDS[int(rng.choice(n_words, p=weights))])
+                units.append(_WORDS[bisect_right(word_cdf, rng.random())])
         words = " ".join(units).split(" ")
         words[0] = words[0].capitalize()
         if len(words) > 8 and rng.random() < 0.5:
@@ -534,5 +551,6 @@ def demo_corpus_bytes(n_bytes: int, seed: int = 0) -> bytes:
 
 
 def write_demo_corpus(path, n_bytes: int = 2_621_440, seed: int = 0) -> None:
-    with open(path, "wb") as fh:
-        fh.write(demo_corpus_bytes(n_bytes, seed))
+    """Write demo_corpus_bytes(n_bytes, seed) to path whole or not at all:
+    an interrupted write would leave a shorter corpus that loads as valid."""
+    write_replace(path, demo_corpus_bytes(n_bytes, seed))

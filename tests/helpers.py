@@ -1,6 +1,7 @@
 """Shared test oracles: finite differences, dense rotation matrices, a
-straight-line numpy reimplementation of the transformer forward pass, and the
-RK4 solve unrolled into elementary tape ops.
+straight-line numpy reimplementation of the transformer forward pass, the
+RK4 solve unrolled into elementary tape ops, and the demo corpus drawn with
+one Generator.choice call per pick.
 
 Everything here except the unrolled solve is deliberately independent of the
 library's autodiff path: plain numpy, explicit loops, no tape. The unrolled
@@ -16,6 +17,7 @@ import numpy as np
 from ropekit import autodiff as ad
 from ropekit.autodiff import Tensor
 from ropekit.continuous import xi
+from ropekit.harness import _WORDS
 
 
 def max_rel_err(a, b, floor: float = 1e-8) -> float:
@@ -154,3 +156,47 @@ def unrolled_solve(z1, t_target, net, form, steps_per_unit):
         incr = ad.add(ad.add(k1, ad.scale(ad.add(k2, k3), 2.0)), k4)
         z = ad.add(z, ad.scale(incr, h / 6.0))
     return z
+
+
+def reference_demo_corpus_bytes(n_bytes: int, seed: int = 0) -> bytes:
+    """harness.demo_corpus_bytes as first written: rng.choice(n, p=weights)
+    for every weighted pick, which re-checks and re-sums the weights on each
+    call."""
+    rng = np.random.default_rng(seed)
+    n_words = len(_WORDS)
+    ranks = np.arange(n_words, dtype=np.float64)
+    weights = 1.0 / (ranks + 2.0) ** 1.1
+    weights /= weights.sum()
+    # recurring collocations give the text verbatim n-grams worth copying
+    phrases = [
+        " ".join(_WORDS[j] for j in rng.choice(n_words, size=rng.integers(2, 5), p=weights))
+        for _ in range(400)
+    ]
+    phrase_weights = 1.0 / (np.arange(len(phrases), dtype=np.float64) + 2.0)
+    phrase_weights /= phrase_weights.sum()
+
+    pieces: list[str] = []
+    total = 0
+    sentences_in_par = 0
+    par_target = int(rng.integers(20, 60))
+    while total < n_bytes:
+        units = []
+        for _ in range(int(rng.integers(2, 6))):
+            if rng.random() < 0.6:
+                units.append(phrases[int(rng.choice(len(phrases), p=phrase_weights))])
+            else:
+                units.append(_WORDS[int(rng.choice(n_words, p=weights))])
+        words = " ".join(units).split(" ")
+        words[0] = words[0].capitalize()
+        if len(words) > 8 and rng.random() < 0.5:
+            cut = int(rng.integers(3, len(words) - 2))
+            words[cut] = words[cut] + ","
+        sentence = " ".join(words) + ". "
+        sentences_in_par += 1
+        if sentences_in_par >= par_target:
+            sentence = sentence.rstrip() + "\n\n"
+            sentences_in_par = 0
+            par_target = int(rng.integers(20, 60))
+        pieces.append(sentence)
+        total += len(sentence)
+    return "".join(pieces).encode("ascii")[:n_bytes]

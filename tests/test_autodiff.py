@@ -571,6 +571,7 @@ def test_checkpoint_failed_params_write_leaves_no_manifest(tmp_path):
     with pytest.raises(OSError):
         save_checkpoint(ckpt, {"w": Tensor(np.zeros(2, dtype=np.float32))}, {})
     assert not (ckpt / "manifest.json").exists()
+    assert not (ckpt / "params.bin.tmp").exists()
 
 
 def test_checkpoint_missing_manifest(tmp_path):

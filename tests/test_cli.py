@@ -400,12 +400,18 @@ def test_compare_checkpoint_tensor_mismatch_exits_3(tmp_path, capsys, corpus_fil
     assert not (tmp_path / "runs").exists()
 
 
-@pytest.mark.parametrize("name, shape", [
-    ("ode.w_down", None), ("ode.w_up", None), ("ode.w_down", (5, 4)), ("ode.w_up", (4, 12)),
-], ids=["no_w_down", "no_w_up", "w_down_5x4", "w_up_4x12"])
-def test_basis_checkpoint_tensor_mismatch_exits_3(tmp_path, capsys, ode_checkpoint, name, shape):
+_ODE_DAMAGE = [("ode.w_down", None), ("ode.w_up", None), ("ode.w_down", (5, 4)), ("ode.w_up", (4, 12))]
+_ODE_DAMAGE_IDS = ["no_w_down", "no_w_up", "w_down_5x4", "w_up_4x12"]
+
+
+# the checkpoint is checked even when no ode row reads it
+@pytest.mark.parametrize("name, shape, methods", [
+    *((name, shape, "ode") for name, shape in _ODE_DAMAGE),
+    *((name, shape, "pi") for name, shape in _ODE_DAMAGE),
+], ids=[*_ODE_DAMAGE_IDS, *(f"pi_{i}" for i in _ODE_DAMAGE_IDS)])
+def test_basis_checkpoint_tensor_mismatch_exits_3(tmp_path, capsys, ode_checkpoint, name, shape, methods):
     ckpt = _damaged(tmp_path, ode_checkpoint, name, shape)
-    assert main(["basis", "-d", "8", "--methods", "ode", "--t", "2", "--checkpoint", str(ckpt)]) == 3
+    assert main(["basis", "-d", "8", "--methods", methods, "--t", "2", "--checkpoint", str(ckpt)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: checkpoint tensors do not match") and f"{name}: checkpoint has" in err
     assert "Traceback" not in err
@@ -487,14 +493,15 @@ def test_basis_odd_dim_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["-d", "8", "--methods", "ode", "--checkpoint", "{tmp}/absent"],
+    ["-d", "8", "--methods", "pi", "--t", "2", "--checkpoint", "{tmp}/absent"],
     ["-d", "8", "--t", "abc"],
     ["-d", "8", "--methods", "ode", "--t", "0.5"],
     ["-d", "2", "--methods", "ode", "--t", "1"],
     ["-d", "8", "--methods", "ode", "--t", "inf"],
     ["-d", "8", "--methods", "yarn", "--t", "nan"],
     ["-d", "8", "--methods", "ode", "--xi-form", "bogus"],
-], ids=["missing_checkpoint", "t_not_a_number", "ode_t_below_1", "ode_head_dim_2",
-        "ode_t_inf", "yarn_t_nan", "xi_form_unknown"])
+], ids=["missing_checkpoint", "missing_checkpoint_without_ode", "t_not_a_number", "ode_t_below_1",
+        "ode_head_dim_2", "ode_t_inf", "yarn_t_nan", "xi_form_unknown"])
 def test_basis_bad_input_exits_2(tmp_path, capsys, argv):
     assert main(["basis", *(a.format(tmp=tmp_path) for a in argv)]) == 2
     err = capsys.readouterr().err
@@ -574,3 +581,17 @@ def test_corpus_subcommand(tmp_path):
     out = tmp_path / "c.bin"
     assert main(["corpus", "-o", str(out), "--bytes", "5000", "--seed", "1"]) == 0
     assert out.stat().st_size == 5000
+
+
+@pytest.mark.parametrize("argv", [
+    ["--bytes", "0"],
+    ["--seed", "-1"],
+    ["-o", "{tmp}/absent/c.txt"],
+    ["-o", "{tmp}"],
+], ids=["zero_bytes", "negative_seed", "missing_out_dir", "out_is_a_directory"])
+def test_corpus_bad_input_exits_2(tmp_path, capsys, argv):
+    args = ["corpus", "-o", "{tmp}/c.txt", "--bytes", "1000", *argv]
+    assert main([a.format(tmp=tmp_path) for a in args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []

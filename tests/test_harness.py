@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 from pathlib import Path
@@ -5,7 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import reference_demo_corpus_bytes
+
 from ropekit import autodiff as ad
+from ropekit import checkpoint
 from ropekit.checkpoint import load_checkpoint, save_checkpoint
 from ropekit.continuous import PlanMode, position_plan, solve
 from ropekit.harness import (
@@ -459,3 +463,47 @@ def test_demo_corpus_deterministic_and_sized():
     assert len(a) == 10_000
     assert max(a) < 128  # ascii
     assert demo_corpus_bytes(10_000, seed=4) != a
+
+
+@pytest.mark.parametrize("n_bytes", [1, 9_999, 60_000, 262_144])
+@pytest.mark.parametrize("seed", [0, 1, 3, 7])
+def test_demo_corpus_matches_the_choice_reference(seed, n_bytes):
+    assert demo_corpus_bytes(n_bytes, seed) == reference_demo_corpus_bytes(n_bytes, seed)
+
+
+@pytest.mark.parametrize("n_bytes, seed, digest", [
+    (10_000, 3, "4def08dd12d1675fcc8ad0b43270f26d1bc8094751cf20f9c3035e34b69b58de"),
+    (262_144, 0, "c28409c264c0866297e7309de0e46500e95ebaaf874b0077191e83cf1ae40875"),
+    (2_621_440, 0, "2e5f6ee30d4bb9131ddf80f93eb40fcfbc8f9069dd64ded447dda1f4a5ac9319"),
+])
+def test_demo_corpus_sha256_is_pinned(n_bytes, seed, digest):
+    # the benchmark corpus, criterion 7's and a small one, as numpy 2.4.6 drew them
+    assert hashlib.sha256(demo_corpus_bytes(n_bytes, seed)).hexdigest() == digest
+
+
+@pytest.mark.parametrize("old", [None, b"old corpus"], ids=["no_old_file", "old_file"])
+def test_write_demo_corpus_failing_midway_leaves_no_partial_file(tmp_path, monkeypatch, old):
+    path = tmp_path / "c.txt"
+    if old is not None:
+        path.write_bytes(old)
+
+    class HalfWrite:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[: len(data) // 2])
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(checkpoint, "open", lambda *a, **k: HalfWrite(open(*a, **k)), raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        write_demo_corpus(path, 5_000, seed=0)
+    assert [p.name for p in tmp_path.iterdir()] == ([] if old is None else ["c.txt"])
+    if old is not None:
+        assert path.read_bytes() == old

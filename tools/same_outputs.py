@@ -6,7 +6,8 @@ Unpacks <rev> with `git archive` into a temporary directory and runs the same
 protocol under that tree and under the working tree (each imported through
 PYTHONPATH, each in a fresh output directory):
 
-- `ropekit corpus` of 200,000 bytes;
+- `ropekit corpus` of 200,000 bytes at seeds 0 and 7, and of the
+  2,621,440 bytes (seed 0) that acceptance criterion 7 trains on;
 - `ropekit compare` of rope, pi, yarn, codellama, randompos and ode with
   steps 40, t_train 4, t_fixed 4 and eval_lens [128, 256, 512, 1100], once in
   float32 and once in float64;
@@ -67,6 +68,8 @@ def run_protocol(tree: Path, out: Path) -> None:
         raise SystemExit(f"ropekit imported from {found.strip()}, not from {tree / 'src'}")
 
     ropekit("corpus", "corpus", "-o", "corpus.txt", "--bytes", "200000")
+    ropekit("corpus-seed7", "corpus", "-o", "corpus-seed7.txt", "--bytes", "200000", "--seed", "7")
+    ropekit("corpus-criterion7", "corpus", "-o", "corpus-criterion7.txt", "--bytes", "2621440")
     for precision in ("float32", "float64"):
         runs = out / precision
         doc = {"corpus": "corpus.txt", "precision": precision, **COMPARE}
