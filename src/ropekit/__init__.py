@@ -6,8 +6,7 @@ from .autodiff import Tensor, backward, no_grad
 from .continuous import BasisCache, CacheSession, OdeNet, XiForm
 from .harness import Corpus, EvalReport, TrainSettings, compare, evaluate, load_corpus, train
 from .model import ModelConfig, forward, log_scale_mult
-from .rotary import FrequencyBasis, apply_rotary, default_basis, pair_score
-from .scaling import alpha, alpha_codellama, alpha_pi, alpha_yarn, scale_basis
+from .rotary import FrequencyBasis, alpha, apply_rotary, default_basis, pair_score, scale_basis
 
 __version__ = "0.1.0"
 
@@ -34,9 +33,6 @@ __all__ = [
     "default_basis",
     "pair_score",
     "alpha",
-    "alpha_codellama",
-    "alpha_pi",
-    "alpha_yarn",
     "scale_basis",
     "__version__",
 ]

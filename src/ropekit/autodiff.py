@@ -94,11 +94,6 @@ def as_tensor(x, dtype=None) -> Tensor:
     return Tensor(x, dtype=dtype)
 
 
-def constant(x, dtype=None) -> Tensor:
-    """A leaf that never receives gradients."""
-    return Tensor(np.asarray(x, dtype=dtype), requires_grad=False)
-
-
 def _node(data: np.ndarray, parents: Sequence[Tensor]) -> Tensor:
     requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
     out = Tensor(data, requires_grad=requires)

@@ -86,6 +86,9 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     entries = manifest.get("tensors")
     if not isinstance(entries, list):
         raise ValueError("checkpoint manifest has no 'tensors' list")
+    extra = manifest.get("extra", {})
+    if not isinstance(extra, dict):
+        raise ValueError(f"checkpoint manifest 'extra' is not a JSON object: {extra!r}")
     blob = (path / "params.bin").read_bytes()
     params: dict[str, np.ndarray] = {}
     for i, entry in enumerate(entries):
@@ -109,4 +112,4 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
             raise ValueError(f"tensor {name!r} has {nbytes} bytes, not the size of {tag} {shape}")
         arr = np.frombuffer(blob[start : start + nbytes], dtype=dt)
         params[name] = arr.reshape(shape).astype(tag)
-    return params, manifest.get("extra", {})
+    return params, extra

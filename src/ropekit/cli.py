@@ -40,8 +40,7 @@ from .harness import (
     write_demo_corpus,
 )
 from .model import ModelConfig, init_params
-from .rotary import default_basis
-from .scaling import alpha, scale_basis
+from .rotary import alpha, default_basis, scale_basis
 
 
 class InputError(ValueError):
@@ -92,15 +91,22 @@ def resolve_config(doc: dict, allow_runs: bool = False) -> dict:
     cfg = dict(DEFAULTS)
     cfg.update(doc)
     if allow_runs:
-        runs = cfg.get("runs") or [{}]
+        runs = cfg.get("runs")
+        if not (runs is None or isinstance(runs, list) and all(isinstance(e, dict) for e in runs)):
+            raise InputError(f"runs must be a list of objects, got {runs!r}")
         checked = []
-        for i, entry in enumerate(runs):
+        for i, entry in enumerate(runs or [{}]):
             bad = set(entry) - set(DEFAULTS) - _RUN_ONLY_KEYS
             if bad:
                 raise InputError(f"unknown keys in runs[{i}]: {sorted(bad)}")
             shared = set(entry) & _SHARED_DEFAULTS.keys()
             if shared:
                 raise InputError(f"runs[{i}] sets top-level-only keys {sorted(shared)}")
+            try:
+                for key in sorted(_RUN_ONLY_KEYS & entry.keys()):
+                    _typed(f"runs[{i}].{key}", entry[key], None)
+            except ValueError as e:
+                raise InputError(str(e)) from None
             checked.append(dict(entry))
         cfg["runs"] = checked
     return cfg
@@ -232,16 +238,30 @@ def run_meta(cfg: dict) -> dict:
 
 def make_run_dir(cfg: dict, cli_out: str | None, command: str, tag: str) -> Path:
     root = Path(cli_out or cfg.get("out_dir") or os.environ.get("ROPEKIT_OUT") or "runs")
-    root.mkdir(parents=True, exist_ok=True)
     stamp = time.strftime("%Y%m%d-%H%M%S")
     base = f"{stamp}-{command}-{tag}"
     candidate = root / base
     suffix = 2
-    while candidate.exists():
-        candidate = root / f"{base}-{suffix}"
-        suffix += 1
-    candidate.mkdir()
+    try:
+        root.mkdir(parents=True, exist_ok=True)
+        while candidate.exists():
+            candidate = root / f"{base}-{suffix}"
+            suffix += 1
+        candidate.mkdir()
+    except OSError as e:
+        raise InputError(f"cannot make a run directory under {root}: {e}") from None
     return candidate
+
+
+def output_file(path) -> Path:
+    """path as a command's output file, checked to lie in an existing
+    directory and not to be one, so a bad path fails before any work."""
+    out = Path(path)
+    if not out.parent.is_dir():
+        raise InputError(f"output directory does not exist: {out.parent}")
+    if out.is_dir():
+        raise InputError(f"output path is a directory: {out}")
+    return out
 
 
 def write_resolved_config(run_dir: Path, cfg: dict) -> None:
@@ -313,10 +333,9 @@ def check_compat(params: dict, ckpt_extra: dict, cfg: dict) -> None:
     shapes, against the resolved cfg. The expected tensors come from the
     code that makes them: init_params, plus the dynamics net for ode."""
     want = checkpoint_extra(cfg)
-    mismatched = []
-    for key, value in want["model"].items():
-        if ckpt_extra.get("model", {}).get(key) != value:
-            mismatched.append(key)
+    recorded = ckpt_extra.get("model")
+    recorded = recorded if isinstance(recorded, dict) else {}
+    mismatched = [key for key, value in want["model"].items() if recorded.get(key) != value]
     for key in ("precision", "lambda_amp"):
         if ckpt_extra.get(key) != want[key]:
             mismatched.append(key)
@@ -398,6 +417,7 @@ def cmd_basis(args) -> int:
         xi_form = _typed("xi_form", args.xi_form, TrainSettings.xi_form)
     except ValueError as e:
         raise InputError(str(e)) from None
+    out = output_file(args.out) if args.out else None
 
     net = None
     # a given checkpoint is read and checked even when no ode row uses it
@@ -429,8 +449,11 @@ def cmd_basis(args) -> int:
             for i, theta_i in enumerate(basis.theta):
                 lines.append(f"{method},{t:.6f},{i},{theta_i:.12g}")
     text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
+    if out:
+        try:
+            out.write_text(text)
+        except OSError as e:
+            raise InputError(f"cannot write {out}: {e}") from None
         print(f"wrote {args.out}", file=sys.stderr)
     else:
         print(text, end="")
@@ -458,8 +481,12 @@ def cmd_compare(args) -> int:
         entries.append(CompareEntry(model_cfg, settings, params, label))
     if len(set(labels)) != len(labels):
         raise InputError(f"duplicate run labels: {labels}; set distinct 'label' keys")
-    if any("," in str(label) for label in labels):
+    if any("," in label for label in labels):
         raise InputError(f"run labels are report.csv fields and may not contain commas: {labels}")
+    reserved = {".", "..", "config.json", "report.csv", "report.json"}
+    if any(label in reserved or set(label) & {os.sep, os.altsep, "\0"} for label in labels):
+        raise InputError(f"run labels name subdirectories of the run directory, so may not be one of "
+                         f"{sorted(reserved)} or contain a path separator: {labels}")
 
     train_lens = [e.cfg.train_len for e in entries if e.params is None]
     corpus = _load_run_corpus(cfg, train_lens, cfg["eval_lens"])
@@ -490,11 +517,7 @@ def cmd_corpus(args) -> int:
         raise InputError("corpus size must be positive")
     if args.seed < 0:
         raise InputError(f"--seed must be a non-negative integer, got {args.seed}")
-    out = Path(args.out)
-    if not out.parent.is_dir():
-        raise InputError(f"output directory does not exist: {out.parent}")
-    if out.is_dir():
-        raise InputError(f"output path is a directory: {out}")
+    out = output_file(args.out)
     try:
         write_demo_corpus(out, args.bytes, args.seed)
     except OSError as e:

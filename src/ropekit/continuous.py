@@ -14,8 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .rotary import FrequencyBasis, default_basis
-from .scaling import _check_factor
+from .rotary import FrequencyBasis, _check_factor, default_basis
 
 
 class XiForm(enum.Enum):

@@ -30,8 +30,7 @@ from .continuous import (
 )
 from .model import ModelConfig, forward, init_params, log_scale_mult
 from .optim import Adam
-from .rotary import FrequencyBasis, default_basis
-from .scaling import alpha, scale_basis
+from .rotary import FrequencyBasis, alpha, default_basis, scale_basis
 
 
 class NumericalAbort(RuntimeError):

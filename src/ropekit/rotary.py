@@ -1,4 +1,6 @@
-"""Rotary position embedding: frequency basis and pairwise rotations.
+"""Rotary position embedding: frequency basis, pairwise rotations, and the
+discrete scaling family of per-dimension basis multipliers (identity,
+constant 1/t, geometric, fixed base retuning).
 
 Positions are real-valued throughout (scaled-index schemes need fractional
 positions). Channel pairing is adjacent (2i, 2i+1), matching the block
@@ -8,6 +10,7 @@ diagonal form of the rotation. Indexing of the frequency exponent is
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,13 +52,57 @@ def default_basis(head_dim: int, base: float = 10000.0) -> FrequencyBasis:
     return FrequencyBasis(base ** (-2.0 * i / head_dim), head_dim, base)
 
 
+def _check_factor(t: float) -> float:
+    t = float(t)
+    if not (math.isfinite(t) and t >= 1.0):
+        raise ValueError(f"scale factor must be finite and >= 1, got {t}")
+    return t
+
+
+PROFILE_METHODS = ("identity", "pi", "yarn", "codellama")
+
+
+def alpha(method: str, t: float, head_dim: int) -> np.ndarray:
+    """Basis multiplier of a named discrete method at scale factor t:
+    identity is 1; pi the constant 1/t, index scaling expressed on the
+    basis; yarn the geometric t**(-2i/(d-2)), spanning 1 down to 1/t; and
+    codellama the fixed 100**(-2i/d), i.e. the base 10000 retuned to 1e6,
+    with no dependence on t."""
+    if method not in PROFILE_METHODS:
+        raise ValueError(f"unknown profile {method!r}; pick from {PROFILE_METHODS}")
+    t = _check_factor(t)
+    if method == "pi":
+        return np.full(head_dim // 2, 1.0 / t, dtype=np.float64)
+    if method == "yarn":
+        if head_dim < 4:
+            raise ValueError(f"geometric profile needs head_dim >= 4, got {head_dim}")
+        i = np.arange(head_dim // 2, dtype=np.float64)
+        return t ** (-2.0 * i / (head_dim - 2))
+    if method == "codellama":
+        if head_dim % 2 != 0 or head_dim < 2:
+            raise ValueError(f"head_dim must be even and >= 2, got {head_dim}")
+        i = np.arange(head_dim // 2, dtype=np.float64)
+        return 100.0 ** (-2.0 * i / head_dim)
+    return np.ones(head_dim // 2, dtype=np.float64)
+
+
+def scale_basis(basis: FrequencyBasis, alpha: np.ndarray) -> FrequencyBasis:
+    """Elementwise theta_t = alpha * theta."""
+    alpha = np.asarray(alpha, dtype=np.float64)
+    if alpha.shape != basis.theta.shape:
+        raise ValueError(f"alpha shape {alpha.shape} != theta shape {basis.theta.shape}")
+    if not np.all(alpha > 0):
+        raise ValueError("alpha entries must be positive")
+    return FrequencyBasis(basis.theta * alpha, basis.head_dim, basis.base)
+
+
 def theta_tensor(basis: Tensor | FrequencyBasis, dtype) -> Tensor:
     """Frequencies as a graph tensor: a Tensor (such as a solved, trainable
     basis) passes through unchanged, a FrequencyBasis becomes a constant of
     the given dtype."""
     if isinstance(basis, Tensor):
         return basis
-    return ad.constant(basis.theta.astype(dtype, copy=False))
+    return Tensor(basis.theta, dtype=dtype)
 
 
 def rotate_sequences(x: Tensor, positions, theta: Tensor) -> Tensor:
@@ -83,7 +130,7 @@ def apply_rotary(x, m: float, basis: Tensor | FrequencyBasis) -> np.ndarray:
     if d % 2 != 0:
         raise ValueError(f"vector length must be even, got {d}")
     theta = theta_tensor(basis, x.dtype)
-    return rotate_sequences(ad.constant(x.reshape(1, d)), [m], theta).data.reshape(d)
+    return rotate_sequences(Tensor(x.reshape(1, d)), [m], theta).data.reshape(d)
 
 
 def pair_score(q, k, m: float, n: float, basis) -> float:

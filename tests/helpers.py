@@ -54,7 +54,7 @@ def grad_check(build, x: np.ndarray, tol: float = 1e-5, h: float = 1e-6, seed: i
     xt = Tensor(x, requires_grad=True)
     out = build(xt)
     w = np.random.default_rng(seed).normal(size=out.shape)
-    loss = ad.sum_all(ad.mul(out, ad.constant(w, dtype=np.float64)))
+    loss = ad.sum_all(ad.mul(out, Tensor(w, dtype=np.float64)))
     ad.backward(loss)
 
     def f(arr):
@@ -138,7 +138,7 @@ def unrolled_dynamics(z, t, net, form):
     half = net.head_dim // 2
     hidden = ad.silu(ad.matmul(ad.reshape(z, (1, half)), net.w_up))
     learned = ad.reshape(ad.matmul(hidden, net.w_down), (half,))
-    return ad.add(learned, ad.constant(xi(t, net.head_dim, form).astype(z.dtype)))
+    return ad.add(learned, Tensor(xi(t, net.head_dim, form).astype(z.dtype)))
 
 
 def unrolled_solve(z1, t_target, net, form, steps_per_unit):

@@ -26,7 +26,7 @@ from ropekit.harness import (
 )
 from ropekit.model import ModelConfig, forward, init_params, log_scale_mult
 from ropekit.rotary import FrequencyBasis, apply_rotary, default_basis, pair_score
-from ropekit.scaling import alpha_codellama, alpha_pi, alpha_yarn, scale_basis
+from ropekit.rotary import alpha, scale_basis
 from ropekit.harness import self_extension_factor
 
 
@@ -86,13 +86,13 @@ def test_criterion_3_yarn_reduction_and_rk4_order():
             z1 = np.log(base.theta)
             for t in (2.0, 4.0, 8.0, 16.0):
                 solved = np.exp(solve(z1, t, net, XiForm.LOG_DERIVATIVE).data)
-                closed = base.theta * alpha_yarn(t, d)
+                closed = base.theta * alpha("yarn", t, d)
                 assert max_rel_err(solved, closed) < 1e-6, (d, t)
         # halving the step size must shrink the error like a 4th order method
         d, t = 8, 4.0
         base = default_basis(d)
         net = OdeNet(d, rng=np.random.default_rng(0))
-        exact = np.log(base.theta) + np.log(alpha_yarn(t, d))
+        exact = np.log(base.theta) + np.log(alpha("yarn", t, d))
         errs = [
             float(np.max(np.abs(solve(np.log(base.theta), t, net,
                                       XiForm.LOG_DERIVATIVE, spu).data - exact)))
@@ -181,10 +181,10 @@ def test_criterion_5_discrete_method_equivalences():
         t = 4.0
         a = forward(params, cfg, tokens, natural / t, base).data
         b = forward(params, cfg, tokens, natural,
-                    scale_basis(base, alpha_pi(t, cfg.d_head))).data
+                    scale_basis(base, alpha("pi", t, cfg.d_head))).data
         assert np.max(np.abs(a - b)) <= 1e-5 * max(1.0, float(np.max(np.abs(a))))
         for d in (4, 8, 64, 128):
-            scaled = scale_basis(default_basis(d), alpha_codellama(d))
+            scaled = scale_basis(default_basis(d), alpha("codellama", 1.0, d))
             assert max_rel_err(scaled.theta, default_basis(d, base=1e6).theta) < 1e-12
 
 

@@ -34,7 +34,7 @@ def test_matmul_value():
 def test_matmul_grad_of_sum_is_ones_bt():
     a = Tensor(rng().normal(size=(3, 4)), requires_grad=True)
     b_arr = rng().normal(size=(4, 2))
-    loss = ad.sum_all(ad.matmul(a, ad.constant(b_arr)))
+    loss = ad.sum_all(ad.matmul(a, Tensor(b_arr)))
     ad.backward(loss)
     closed = np.ones((3, 2)) @ b_arr.T
     assert max_rel_err(a.grad, closed) < 1e-12
@@ -63,7 +63,7 @@ def test_matmul_folds_leading_axes_into_one_product():
     w = Tensor(r.normal(size=(4, 5)).astype(np.float32), requires_grad=True)
     g = r.normal(size=(2, 3, 5)).astype(np.float32)
     out = ad.matmul(a, w)
-    ad.backward(ad.sum_all(ad.mul(out, ad.constant(g))))
+    ad.backward(ad.sum_all(ad.mul(out, Tensor(g))))
     flat_a, flat_g = a.data.reshape(6, 4), g.reshape(6, 5)
     assert np.array_equal(out.data, np.matmul(flat_a, w.data).reshape(2, 3, 5))
     assert np.array_equal(a.grad, np.matmul(flat_g, w.data.T).reshape(2, 3, 4))
@@ -155,27 +155,27 @@ UNARY_CASES = [
     ("silu", lambda x: ad.silu(x), _A34),
     ("scale", lambda x: ad.scale(x, -2.5), _A34),
     ("neg", lambda x: ad.scale(x, -1.0), _A34),
-    ("add_const", lambda x: ad.add(x, ad.constant(_A34)), _A34),
-    ("mul_const", lambda x: ad.mul(x, ad.constant(_A34 + 2.0)), _A34),
-    ("matmul_left", lambda x: ad.matmul(x, ad.constant(_B42)), _A34),
-    ("matmul_right", lambda x: ad.matmul(ad.constant(_B23), x), _A34),
-    ("matmul_fold_x", lambda x: ad.matmul(x, ad.constant(_B42)), _A234),
-    ("matmul_fold_weight", lambda w: ad.matmul(ad.constant(_A234), w), _B42),
+    ("add_const", lambda x: ad.add(x, Tensor(_A34)), _A34),
+    ("mul_const", lambda x: ad.mul(x, Tensor(_A34 + 2.0)), _A34),
+    ("matmul_left", lambda x: ad.matmul(x, Tensor(_B42)), _A34),
+    ("matmul_right", lambda x: ad.matmul(Tensor(_B23), x), _A34),
+    ("matmul_fold_x", lambda x: ad.matmul(x, Tensor(_B42)), _A234),
+    ("matmul_fold_weight", lambda w: ad.matmul(Tensor(_A234), w), _B42),
     ("transpose", lambda x: ad.transpose(x, (1, 0)), _A34),
     ("reshape", lambda x: ad.reshape(x, (2, 6)), _A34),
     ("sum_all", lambda x: ad.sum_all(x), _A34),
-    ("rotate_pairs", lambda x: ad.rotate_pairs(x, _ROT_POS, ad.constant(_ROT_THETA)), _ROT_X),
-    ("rms_norm", lambda x: ad.rms_norm(x, ad.constant(_POS[0]), 1e-6), _A34),
-    ("rms_norm_gain", lambda g: ad.rms_norm(ad.constant(_A34), g, 1e-6), _POS[0]),
-    ("causal_attention_q", lambda q: ad.causal_attention(q, ad.constant(_K), ad.constant(_V), 0.7), _Q),
-    ("causal_attention_k", lambda k: ad.causal_attention(ad.constant(_Q), k, ad.constant(_V), 0.7), _K),
-    ("causal_attention_v", lambda v: ad.causal_attention(ad.constant(_Q), ad.constant(_K), v, 0.7), _V),
-    ("causal_attention_blocks_q", lambda q: ad.causal_attention(q, ad.constant(_KB), ad.constant(_VB), 0.7), _QB),
-    ("causal_attention_blocks_k", lambda k: ad.causal_attention(ad.constant(_QB), k, ad.constant(_VB), 0.7), _KB),
-    ("causal_attention_blocks_v", lambda v: ad.causal_attention(ad.constant(_QB), ad.constant(_KB), v, 0.7), _VB),
-    ("rk4_solve_z", lambda z: ad.rk4_solve(z, ad.constant(_ODE_UP), ad.constant(_ODE_DOWN), _ODE_DRIFT, 0.3), _ODE_Z),
-    ("rk4_solve_w_up", lambda w: ad.rk4_solve(ad.constant(_ODE_Z), w, ad.constant(_ODE_DOWN), _ODE_DRIFT, 0.3), _ODE_UP),
-    ("rk4_solve_w_down", lambda w: ad.rk4_solve(ad.constant(_ODE_Z), ad.constant(_ODE_UP), w, _ODE_DRIFT, 0.3), _ODE_DOWN),
+    ("rotate_pairs", lambda x: ad.rotate_pairs(x, _ROT_POS, Tensor(_ROT_THETA)), _ROT_X),
+    ("rms_norm", lambda x: ad.rms_norm(x, Tensor(_POS[0]), 1e-6), _A34),
+    ("rms_norm_gain", lambda g: ad.rms_norm(Tensor(_A34), g, 1e-6), _POS[0]),
+    ("causal_attention_q", lambda q: ad.causal_attention(q, Tensor(_K), Tensor(_V), 0.7), _Q),
+    ("causal_attention_k", lambda k: ad.causal_attention(Tensor(_Q), k, Tensor(_V), 0.7), _K),
+    ("causal_attention_v", lambda v: ad.causal_attention(Tensor(_Q), Tensor(_K), v, 0.7), _V),
+    ("causal_attention_blocks_q", lambda q: ad.causal_attention(q, Tensor(_KB), Tensor(_VB), 0.7), _QB),
+    ("causal_attention_blocks_k", lambda k: ad.causal_attention(Tensor(_QB), k, Tensor(_VB), 0.7), _KB),
+    ("causal_attention_blocks_v", lambda v: ad.causal_attention(Tensor(_QB), Tensor(_KB), v, 0.7), _VB),
+    ("rk4_solve_z", lambda z: ad.rk4_solve(z, Tensor(_ODE_UP), Tensor(_ODE_DOWN), _ODE_DRIFT, 0.3), _ODE_Z),
+    ("rk4_solve_w_up", lambda w: ad.rk4_solve(Tensor(_ODE_Z), w, Tensor(_ODE_DOWN), _ODE_DRIFT, 0.3), _ODE_UP),
+    ("rk4_solve_w_down", lambda w: ad.rk4_solve(Tensor(_ODE_Z), Tensor(_ODE_UP), w, _ODE_DRIFT, 0.3), _ODE_DOWN),
     ("gather", lambda x: ad.gather_rows(x, _IDX), _R.normal(size=(5, 3))),
     ("softmax_cross_entropy", lambda x: ad.softmax_cross_entropy(x, _CE_TARGETS), _A34),
 ]
@@ -187,7 +187,7 @@ def test_gradcheck_op(name, build, x):
 
 
 # Public names of ropekit.autodiff that record no tape node.
-_NOT_OPS = {"no_grad", "as_tensor", "constant", "backward"}
+_NOT_OPS = {"no_grad", "as_tensor", "backward"}
 
 
 def _recording_op(node):
@@ -230,7 +230,7 @@ def _assert_row_reads_causal_rows(q, k, v, out, rows, r):
         q.grad = k.grad = v.grad = None
         g = np.zeros(out.shape)
         g[:, i] = r.normal(size=(2, 3))
-        ad.backward(ad.sum_all(ad.mul(out, ad.constant(g))))
+        ad.backward(ad.sum_all(ad.mul(out, Tensor(g))))
         assert np.array_equal(k.grad[:, i + 1 :], np.zeros((2, s - 1 - i, 3)))
         assert np.array_equal(v.grad[:, i + 1 :], np.zeros((2, s - 1 - i, 3)))
         assert np.array_equal(np.delete(q.grad, i, axis=1), np.zeros((2, s - 1, 3)))
@@ -251,7 +251,7 @@ def test_causal_attention_blocks_match_dense_reference():
     g_z = w * (g_w - (g_w * w).sum(axis=-1, keepdims=True)) * scale
     q, k, v = (Tensor(x, requires_grad=True) for x in (q0, k0, v0))
     out = ad.causal_attention(q, k, v, scale)
-    ad.backward(ad.sum_all(ad.mul(out, ad.constant(g))))
+    ad.backward(ad.sum_all(ad.mul(out, Tensor(g))))
     for got, want in ((out.data, w @ v0), (q.grad, g_z @ k0), (k.grad, g_z.swapaxes(-1, -2) @ q0),
                       (v.grad, w.swapaxes(-1, -2) @ g)):
         assert np.abs(got - want).max() < 1e-12
@@ -382,7 +382,7 @@ def test_determinism_bitwise():
     def run():
         r = np.random.default_rng(123)
         x = Tensor(r.normal(size=(8, 8)).astype(np.float32), requires_grad=True)
-        gain = ad.constant(np.linspace(0.5, 1.5, 8, dtype=np.float32))
+        gain = Tensor(np.linspace(0.5, 1.5, 8, dtype=np.float32))
         y = ad.sum_all(ad.causal_attention(ad.silu(x), ad.rms_norm(x, gain, 1e-6), x, 0.5))
         ad.backward(y)
         return y.data.copy(), x.grad.copy()
@@ -549,7 +549,9 @@ def test_checkpoint_damaged_manifest_names_the_tensor(tmp_path, field, value, me
 @pytest.mark.parametrize("damage, message", [
     (lambda doc: doc.pop("tensors"), "checkpoint manifest has no 'tensors' list"),
     (lambda doc: doc["tensors"][0].pop("name"), "manifest entry #0 has no 'name'"),
-], ids=["no_tensors", "no_name"])
+    (lambda doc: doc.update(extra=[]), "checkpoint manifest 'extra' is not a JSON object: []"),
+    (lambda doc: doc.update(extra=None), "checkpoint manifest 'extra' is not a JSON object: None"),
+], ids=["no_tensors", "no_name", "extra_list", "extra_null"])
 def test_checkpoint_manifest_without_tensors_or_name_is_rejected(tmp_path, damage, message):
     import json
 

@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 from ropekit.checkpoint import load_checkpoint, save_checkpoint
 from ropekit.cli import DEFAULTS, main
 from ropekit.harness import write_demo_corpus
-from ropekit.rotary import default_basis
-from ropekit.scaling import alpha_yarn
+from ropekit.rotary import alpha, default_basis
 
 
 @pytest.fixture(scope="module")
@@ -400,6 +399,40 @@ def test_compare_checkpoint_tensor_mismatch_exits_3(tmp_path, capsys, corpus_fil
     assert not (tmp_path / "runs").exists()
 
 
+def _with_extra(tmp_path, ode_checkpoint, extra):
+    """A copy of the ode checkpoint whose manifest records extra, given the
+    checkpoint's own extra."""
+    params, own = load_checkpoint(ode_checkpoint[1])
+    save_checkpoint(tmp_path / "damaged", params)
+    manifest = tmp_path / "damaged" / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    doc["extra"] = extra(own)
+    manifest.write_text(json.dumps(doc))
+    return tmp_path / "damaged"
+
+
+_MODEL_KEYS = ["d_model", "method", "n_heads", "n_layers", "seed", "t_fixed", "t_train", "train_len", "vocab"]
+
+
+@pytest.mark.parametrize("command", ["eval", "compare"])
+@pytest.mark.parametrize("extra, code, message", [
+    (lambda own: [], 2, "checkpoint manifest 'extra' is not a JSON object: []"),
+    (lambda own: None, 2, "checkpoint manifest 'extra' is not a JSON object: None"),
+    (lambda own: {**own, "model": "abc"}, 3, f"checkpoint is incompatible with config (mismatched: {_MODEL_KEYS})"),
+], ids=["extra_list", "extra_null", "model_str"])
+def test_damaged_checkpoint_extra_exits_before_any_run(tmp_path, capsys, ode_checkpoint, command, extra, code, message):
+    ckpt = _with_extra(tmp_path, ode_checkpoint, extra)
+    if command == "eval":
+        argv = ["eval", "-c", str(ode_checkpoint[0]), "--checkpoint", str(ckpt)]
+    else:
+        doc = json.loads(ode_checkpoint[0].read_text())
+        argv = ["compare", "-c", str(write_config(tmp_path, {**doc, "runs": [{"checkpoint": str(ckpt)}]}))]
+    assert main([*argv, "-o", str(tmp_path / "runs")]) == code
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "runs").exists()
+
+
 _ODE_DAMAGE = [("ode.w_down", None), ("ode.w_up", None), ("ode.w_down", (5, 4)), ("ode.w_up", (4, 12))]
 _ODE_DAMAGE_IDS = ["no_w_down", "no_w_up", "w_down_5x4", "w_up_4x12"]
 
@@ -483,7 +516,7 @@ def test_basis_zero_init_ode_matches_yarn(tmp_path):
         yarn_v = values[("yarn", 4.0, i)]
         ode_v = values[("ode", 4.0, i)]
         assert abs(ode_v - yarn_v) <= 1e-6 * max(abs(yarn_v), 1e-12)
-    theta = default_basis(8).theta * alpha_yarn(4.0, 8)
+    theta = default_basis(8).theta * alpha("yarn", 4.0, 8)
     assert abs(values[("yarn", 4.0, 3)] - theta[3]) < 1e-12
 
 
@@ -500,12 +533,16 @@ def test_basis_odd_dim_exits_2(tmp_path, capsys):
     ["-d", "8", "--methods", "ode", "--t", "inf"],
     ["-d", "8", "--methods", "yarn", "--t", "nan"],
     ["-d", "8", "--methods", "ode", "--xi-form", "bogus"],
+    ["-d", "8", "-o", "{tmp}/absent/basis.csv"],
+    ["-d", "8", "-o", "{tmp}"],
 ], ids=["missing_checkpoint", "missing_checkpoint_without_ode", "t_not_a_number", "ode_t_below_1",
-        "ode_head_dim_2", "ode_t_inf", "yarn_t_nan", "xi_form_unknown"])
+        "ode_head_dim_2", "ode_t_inf", "yarn_t_nan", "xi_form_unknown", "missing_out_dir",
+        "out_is_a_directory"])
 def test_basis_bad_input_exits_2(tmp_path, capsys, argv):
     assert main(["basis", *(a.format(tmp=tmp_path) for a in argv)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_basis_stdout_when_no_out(capsys):
@@ -555,6 +592,42 @@ def test_compare_label_with_comma_exits_2(tmp_path, corpus_file, capsys):
     cfg = write_config(tmp_path, doc)
     assert main(["compare", "-c", str(cfg), "-o", str(tmp_path / "x")]) == 2
     assert "may not contain commas" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("runs, message", [
+    ([1], "runs must be a list of objects, got [1]"),
+    ([["method"]], "runs must be a list of objects, got [['method']]"),
+    ({"a": 1}, "runs must be a list of objects, got {'a': 1}"),
+    ([{"label": 5}], "runs[0].label must be null or a string, got 5"),
+    ([{}, {"checkpoint": 5}], "runs[1].checkpoint must be null or a string, got 5"),
+    ([{"label": ".."}], "run labels name subdirectories of the run directory"),
+    ([{"label": "."}], "run labels name subdirectories of the run directory"),
+    ([{"label": "a/b"}], "run labels name subdirectories of the run directory"),
+    ([{"label": "report.csv"}], "run labels name subdirectories of the run directory"),
+], ids=["int_entry", "list_entry", "object", "label_int", "checkpoint_int", "label_dotdot",
+        "label_dot", "label_slash", "label_report_csv"])
+def test_compare_bad_runs_exits_2_before_corpus_load(tmp_path, capsys, runs, message):
+    # the corpus is absent, so only a check made before loading it can fail
+    doc = {"corpus": str(tmp_path / "absent.bin"), "runs": runs}
+    cfg = write_config(tmp_path, doc)
+    assert main(["compare", "-c", str(cfg), "-o", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "compare"])
+def test_output_root_that_is_a_file_exits_2(tmp_path, capsys, ode_checkpoint, command):
+    out = tmp_path / "taken"
+    out.write_text("kept\n")
+    argv = [command, "-c", str(ode_checkpoint[0]), "-o", str(out)]
+    if command == "eval":
+        argv += ["--checkpoint", str(ode_checkpoint[1])]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot make a run directory under {out}") and "Traceback" not in err
+    assert out.read_text() == "kept\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
 
 @pytest.mark.parametrize("key, value", [

@@ -24,8 +24,7 @@ from ropekit.continuous import (
     solve_basis,
     xi,
 )
-from ropekit.rotary import default_basis
-from ropekit.scaling import alpha_yarn, scale_basis
+from ropekit.rotary import alpha, default_basis, scale_basis
 
 
 def _zero_net(d, lambda_amp=1):
@@ -66,13 +65,13 @@ def test_xi_rejects_bad_inputs():
 def test_xi_log_derivative_is_derivative_of_log_profile():
     # finite-difference the closed-form profile in t
     d, t, h = 16, 3.0, 1e-6
-    fd = (np.log(alpha_yarn(t + h, d)) - np.log(alpha_yarn(t - h, d))) / (2 * h)
+    fd = (np.log(alpha("yarn", t + h, d)) - np.log(alpha("yarn", t - h, d))) / (2 * h)
     assert max_rel_err(xi(t, d, XiForm.LOG_DERIVATIVE), fd, floor=1e-9) < 1e-8
 
 
 def test_xi_paper_printed_is_derivative_of_profile():
     d, t, h = 16, 3.0, 1e-6
-    fd = (alpha_yarn(t + h, d) - alpha_yarn(t - h, d)) / (2 * h)
+    fd = (alpha("yarn", t + h, d) - alpha("yarn", t - h, d)) / (2 * h)
     assert max_rel_err(xi(t, d, XiForm.PAPER_PRINTED), fd, floor=1e-9) < 1e-8
 
 
@@ -177,13 +176,13 @@ def test_solve_at_one_returns_input_unchanged():
 
 
 def test_solve_zero_net_reduces_to_geometric_profile():
-    # analytic: integral of -2i/((d-2)s) from 1 to t is log alpha_yarn(t)
+    # analytic: integral of -2i/((d-2)s) from 1 to t is log alpha("yarn", t)
     for d in (8, 64):
         base = default_basis(d)
         net = _zero_net(d)
         for t in (2.0, 4.0):
             solved = solve_basis(t, net, XiForm.LOG_DERIVATIVE)
-            expected = scale_basis(base, alpha_yarn(t, d))
+            expected = scale_basis(base, alpha("yarn", t, d))
             assert max_rel_err(solved.theta, expected.theta) < 1e-6
 
 
@@ -191,7 +190,7 @@ def test_solve_rk4_order_from_step_halving():
     d, t = 8, 4.0
     base = default_basis(d)
     net = _zero_net(d)
-    exact = np.log(base.theta) + np.log(alpha_yarn(t, d))
+    exact = np.log(base.theta) + np.log(alpha("yarn", t, d))
     err = []
     for spu in (4, 8):
         z = solve(np.log(base.theta), t, net, XiForm.LOG_DERIVATIVE, steps_per_unit=spu)
@@ -207,7 +206,7 @@ def test_solve_step_count_floor():
     net = _zero_net(d)
     t = 1.05
     solved = solve_basis(t, net)
-    expected = scale_basis(base, alpha_yarn(t, d))
+    expected = scale_basis(base, alpha("yarn", t, d))
     assert max_rel_err(solved.theta, expected.theta) < 1e-9
 
 
@@ -267,7 +266,7 @@ def _solve_and_grads(fn, dtype, form, spu, t):
     net.w_up = Tensor(r.normal(scale=0.3, size=net.w_up.shape).astype(dtype), requires_grad=True)
     net.w_down = Tensor(r.normal(scale=0.3, size=net.w_down.shape).astype(dtype), requires_grad=True)
     z1 = Tensor(np.log(default_basis(d).theta).astype(dtype), requires_grad=True)
-    weights = ad.constant(r.normal(size=d // 2).astype(dtype))
+    weights = Tensor(r.normal(size=d // 2).astype(dtype))
     out = fn(z1, t, net, form, spu)
     ad.backward(ad.sum_all(ad.mul(out, weights)))
     return out.data, z1.grad, net.w_up.grad, net.w_down.grad

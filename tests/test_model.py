@@ -9,8 +9,7 @@ from ropekit import autodiff as ad
 from ropekit import model
 from ropekit.autodiff import Tensor
 from ropekit.model import ModelConfig, forward, init_params, log_scale_mult
-from ropekit.rotary import default_basis
-from ropekit.scaling import alpha_pi, scale_basis
+from ropekit.rotary import alpha, default_basis, scale_basis
 
 
 def tiny_cfg(**kw):
@@ -102,7 +101,7 @@ def test_causality_gradients_exactly_zero(monkeypatch):
     logits = forward(params, cfg, toks, natural(8), basis)
     w = np.zeros(logits.shape)
     w[:, j, :] = rng.normal(size=(2, cfg.vocab))
-    ad.backward(ad.sum_all(ad.mul(logits, ad.constant(w))))
+    ad.backward(ad.sum_all(ad.mul(logits, Tensor(w))))
     future = embedded.grad[:, j + 1 :, :]
     past = embedded.grad[:, : j + 1, :]
     assert np.all(future == 0.0)
@@ -284,7 +283,7 @@ def test_index_scaling_equals_basis_scaling_end_to_end():
     toks = np.random.default_rng(7).integers(0, cfg.vocab, size=(2, 12))
     t = 4.0
     a = forward(params, cfg, toks, natural(12) / t, base).data
-    shrunk = scale_basis(base, alpha_pi(t, cfg.d_head))
+    shrunk = scale_basis(base, alpha("pi", t, cfg.d_head))
     b = forward(params, cfg, toks, natural(12), shrunk).data
     assert np.max(np.abs(a - b)) < 1e-5 * max(1.0, float(np.max(np.abs(a))))
 

@@ -98,7 +98,7 @@ def test_rotate_sequences_applies_per_position():
     basis = default_basis(6)
     x = r.normal(size=(2, 3, 6))
     pos = np.array([1.0, 2.5, 7.0])
-    out = rotate_sequences(Tensor(x), pos, ad.constant(basis.theta)).data
+    out = rotate_sequences(Tensor(x), pos, Tensor(basis.theta)).data
     for b in range(2):
         for s in range(3):
             expected = rotation_matrix(basis.theta, pos[s]) @ x[b, s]
@@ -175,14 +175,14 @@ def test_rotary_gradient_wrt_input():
     basis = default_basis(6)
 
     def build(x):
-        return rotate_sequences(x, np.array([1.0, 4.0]), ad.constant(basis.theta))
+        return rotate_sequences(x, np.array([1.0, 4.0]), Tensor(basis.theta))
 
     grad_check(build, np.random.default_rng(5).normal(size=(2, 2, 6)), tol=1e-5)
 
 
 def test_rotary_gradient_wrt_theta():
     r = np.random.default_rng(6)
-    x = ad.constant(r.normal(size=(1, 3, 8)))
+    x = Tensor(r.normal(size=(1, 3, 8)))
 
     def build(theta):
         return rotate_sequences(x, np.array([0.5, 2.0, 9.0]), theta)

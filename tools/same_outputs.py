@@ -13,7 +13,12 @@ PYTHONPATH, each in a fresh output directory):
   float32 and once in float64;
 - `ropekit eval` of each compare's ode checkpoint at [128, 1100, 1100], so
   that a length past the cache is looked up twice in one session;
-- `ropekit basis -d 16 --methods identity,pi,yarn,codellama,ode --t 1,2.5,8`.
+- `ropekit compare` in float32 with explicit labels: `pi_t2` trains pi at
+  t_fixed 2, and `ode_reused` evaluates the float32 ode checkpoint, first
+  copied to a fixed relative path so that config.json records the same
+  string under both trees;
+- `ropekit basis -d 16 --methods identity,pi,yarn,codellama,ode --t 1,2.5,8`
+  and `ropekit basis -d 64 --methods identity,pi,yarn,codellama --t 1,1.5,4,16`.
 
 It then compares the sha256 of every file, each command's stdout included,
 with the timestamps of run-directory names normalised. It prints the number
@@ -28,6 +33,7 @@ import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tarfile
@@ -81,8 +87,16 @@ def run_protocol(tree: Path, out: Path) -> None:
             json.dumps({**doc, "method": "ode", "eval_lens": [128, 1100, 1100]}))
         ropekit(f"eval-{precision}", "eval", "-c", f"eval-{precision}.json", "-o", precision,
                 "--checkpoint", str(checkpoint.relative_to(out)))
+        if precision == "float32":
+            shutil.copytree(checkpoint, out / "ode-float32-checkpoint")
+            runs_doc = [{"label": "pi_t2", "method": "pi", "t_fixed": 2.0},
+                        {"label": "ode_reused", "method": "ode", "checkpoint": "ode-float32-checkpoint"}]
+            (out / "compare-labelled.json").write_text(json.dumps({**doc, "runs": runs_doc}))
+            ropekit("compare-labelled", "compare", "-c", "compare-labelled.json", "-o", "labelled")
     ropekit("basis", "basis", "-d", "16", "--methods", "identity,pi,yarn,codellama,ode",
             "--t", "1,2.5,8")
+    ropekit("basis-d64", "basis", "-d", "64", "--methods", "identity,pi,yarn,codellama",
+            "--t", "1,1.5,4,16")
 
 
 def digests(out: Path) -> dict[str, str]:
