@@ -101,6 +101,8 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         tag, shape, start, nbytes = (entry[key] for key in _ENTRY_KEYS[1:])
         if not isinstance(shape, list) or not all(type(n) is int for n in (start, nbytes, *shape)):
             raise ValueError(f"tensor {name!r} needs an integer offset, nbytes and shape list")
+        if nbytes < 0 or min(shape, default=0) < 0:
+            raise ValueError(f"tensor {name!r} has negative sizes (nbytes {nbytes}, shape {shape})")
         if tag not in _DTYPE_TAGS:
             raise ValueError(f"tensor {name!r} has unknown dtype tag {tag!r}")
         dt = np.dtype(_DTYPE_TAGS[tag])

@@ -5,8 +5,10 @@ Runs are experiment records: every command resolves its config (file plus
 outputs in a fresh run directory, and is bit-reproducible from that
 snapshot and the seed alone.
 
-Exit codes: 0 success, 2 input error, 3 checkpoint/config mismatch,
-4 numerical abort.
+Each command reads and checks all of its input first and then returns its
+work as a callable, so main is the one place that maps errors to exit
+codes: 0 success, 2 input error, 3 checkpoint/config mismatch, 4 numerical
+abort. An error the work raises otherwise is a bug and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import sys
 import time
 from dataclasses import fields
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -44,7 +47,7 @@ from .rotary import alpha, default_basis, scale_basis
 
 
 class InputError(ValueError):
-    """Bad config, flags, or input files (exit 2)."""
+    """Bad config, flags, input files or output path (exit 2)."""
 
 
 class CompatError(ValueError):
@@ -102,11 +105,8 @@ def resolve_config(doc: dict, allow_runs: bool = False) -> dict:
             shared = set(entry) & _SHARED_DEFAULTS.keys()
             if shared:
                 raise InputError(f"runs[{i}] sets top-level-only keys {sorted(shared)}")
-            try:
-                for key in sorted(_RUN_ONLY_KEYS & entry.keys()):
-                    _typed(f"runs[{i}].{key}", entry[key], None)
-            except ValueError as e:
-                raise InputError(str(e)) from None
+            for key in sorted(_RUN_ONLY_KEYS & entry.keys()):
+                _typed(f"runs[{i}].{key}", entry[key], None)
             checked.append(dict(entry))
         cfg["runs"] = checked
     return cfg
@@ -121,7 +121,7 @@ def apply_overrides(cfg: dict, sets: list[str] | None) -> dict:
             raise InputError(f"unknown config key in --set: {key!r}")
         try:
             value = json.loads(raw)
-        except ValueError:  # not JSON, or an integer too long to convert
+        except (ValueError, RecursionError):  # not JSON, an integer too long, or nested too deep
             value = raw
         cfg[key] = value
     return cfg
@@ -133,7 +133,7 @@ def load_config_file(path, allow_runs: bool = False) -> dict:
         raise InputError(f"config not found: {p}")
     try:
         doc = json.loads(p.read_text())
-    except ValueError as e:  # not JSON, or an integer too long to convert
+    except (ValueError, RecursionError) as e:  # not JSON, an integer too long, or nested too deep
         raise InputError(f"config is not valid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise InputError("config must be a JSON object")
@@ -173,41 +173,38 @@ def split_config(cfg: dict) -> tuple[ModelConfig, TrainSettings]:
     """Typed model config and train settings from a resolved config, after
     checking every value, so bad input fails before any corpus load or
     training."""
-    try:
-        model_cfg, settings = (
-            cls(**{f.name: _typed(f.name, cfg[f.name], f.default) for f in fields(cls)}).validate()
-            for cls in (ModelConfig, TrainSettings)
-        )
-        shared = {k: _typed(k, cfg[k], d) for k, d in _SHARED_DEFAULTS.items()}
-        if model_cfg.vocab < 256:
-            raise ValueError(f"vocab must be >= 256 to hold every byte of the corpus, got {model_cfg.vocab}")
-        if not all(n >= 2 for n in shared["eval_lens"]):
-            raise ValueError(f"eval_lens must all be >= 2, got {shared['eval_lens']}")
-        m, batch = model_cfg, settings.batch_size
-        itemsize = np.dtype(settings.dtype).itemsize
-        arrays = [
-            ("vocab x d_model (the embedding table)", m.vocab * m.d_model, itemsize),
-            ("d_model x 4 d_model (an MLP weight)", 4 * m.d_model**2, itemsize),
-            ("batch_size x train_len x vocab (a step's logits)", batch * m.train_len * m.vocab, itemsize),
-            ("batch_size x n_heads x train_len^2 (a step's attention weights)",
-             batch * m.n_heads * m.train_len**2, itemsize),
-        ]
-        if m.method == "ode":
-            # continuous.solve's float64 drift table at the largest factor the
-            # config solves at; the step count stays a float until it is known
-            # to fit, so an infinite one never reaches int
-            t_max = max(m.t_train, settings.cache_factors[-1],
-                        max(shared["eval_lens"], default=0) / m.train_len)
-            steps = settings.steps_per_unit * (t_max - 1.0)
-            if steps * 2 * m.d_head <= np.iinfo(np.intp).max // 8:
-                steps = max(8, math.ceil(steps))
-            arrays.append(("RK4 steps x 4 x d_head/2 (the ODE solve's drift table)", steps * 2 * m.d_head, 8))
-        for shape, size, itemsize in arrays:
-            limit = np.iinfo(np.intp).max // itemsize
-            if size > limit:
-                raise ValueError(f"{shape} is {size} entries, more than a numpy array can hold ({limit})")
-    except (TypeError, ValueError) as e:
-        raise InputError(str(e)) from None
+    model_cfg, settings = (
+        cls(**{f.name: _typed(f.name, cfg[f.name], f.default) for f in fields(cls)}).validate()
+        for cls in (ModelConfig, TrainSettings)
+    )
+    shared = {k: _typed(k, cfg[k], d) for k, d in _SHARED_DEFAULTS.items()}
+    if model_cfg.vocab < 256:
+        raise ValueError(f"vocab must be >= 256 to hold every byte of the corpus, got {model_cfg.vocab}")
+    if not all(n >= 2 for n in shared["eval_lens"]):
+        raise ValueError(f"eval_lens must all be >= 2, got {shared['eval_lens']}")
+    m, batch = model_cfg, settings.batch_size
+    itemsize = np.dtype(settings.dtype).itemsize
+    arrays = [
+        ("vocab x d_model (the embedding table)", m.vocab * m.d_model, itemsize),
+        ("d_model x 4 d_model (an MLP weight)", 4 * m.d_model**2, itemsize),
+        ("batch_size x train_len x vocab (a step's logits)", batch * m.train_len * m.vocab, itemsize),
+        ("batch_size x n_heads x train_len^2 (a step's attention weights)",
+         batch * m.n_heads * m.train_len**2, itemsize),
+    ]
+    if m.method == "ode":
+        # continuous.solve's float64 drift table at the largest factor the
+        # config solves at; the step count stays a float until it is known
+        # to fit, so an infinite one never reaches int
+        t_max = max(m.t_train, settings.cache_factors[-1],
+                    max(shared["eval_lens"], default=0) / m.train_len)
+        steps = settings.steps_per_unit * (t_max - 1.0)
+        if steps * 2 * m.d_head <= np.iinfo(np.intp).max // 8:
+            steps = max(8, math.ceil(steps))
+        arrays.append(("RK4 steps x 4 x d_head/2 (the ODE solve's drift table)", steps * 2 * m.d_head, 8))
+    for shape, size, itemsize in arrays:
+        limit = np.iinfo(np.intp).max // itemsize
+        if size > limit:
+            raise ValueError(f"{shape} is {size} entries, more than a numpy array can hold ({limit})")
     return model_cfg, settings
 
 
@@ -275,12 +272,7 @@ def _load_run_corpus(cfg: dict, train_lens=(), eval_lens=()):
     path = cfg.get("corpus")
     if not path:
         raise InputError("config key 'corpus' is required")
-    try:
-        corpus = load_corpus(path, cfg["split_fraction"])
-    except FileNotFoundError:
-        raise InputError(f"corpus not found: {path}") from None
-    except ValueError as e:
-        raise InputError(str(e)) from None
+    corpus = load_corpus(path, cfg["split_fraction"])
     for n in train_lens:
         if corpus.train.size < n + 1:
             raise InputError(f"training split too short: {corpus.train.size} bytes < train_len {n} + 1")
@@ -289,13 +281,6 @@ def _load_run_corpus(cfg: dict, train_lens=(), eval_lens=()):
             f"validation split too short: {corpus.val.size} bytes < one window of {max(eval_lens)}"
         )
     return corpus
-
-
-def _load_checkpoint(path):
-    try:
-        return load_checkpoint(path)
-    except (FileNotFoundError, ValueError) as e:
-        raise InputError(str(e)) from None
 
 
 def write_loss_csv(run_dir: Path, trace) -> None:
@@ -328,10 +313,11 @@ def _check_tensors(params: dict, expected: dict, names) -> None:
         raise CompatError(f"checkpoint tensors do not match ({'; '.join(bad)})")
 
 
-def check_compat(params: dict, ckpt_extra: dict, cfg: dict) -> None:
+def check_compat(params: dict, ckpt_extra: dict, cfg: dict, model_cfg: ModelConfig, settings: TrainSettings) -> None:
     """The checkpoint's recorded config, then its tensor names, dtypes and
-    shapes, against the resolved cfg. The expected tensors come from the
-    code that makes them: init_params, plus the dynamics net for ode."""
+    shapes, against the resolved cfg and its split_config output (model_cfg,
+    settings). The expected tensors come from init_params, plus the dynamics
+    net for ode."""
     want = checkpoint_extra(cfg)
     recorded = ckpt_extra.get("model")
     recorded = recorded if isinstance(recorded, dict) else {}
@@ -343,7 +329,6 @@ def check_compat(params: dict, ckpt_extra: dict, cfg: dict) -> None:
         raise CompatError(
             f"checkpoint is incompatible with config (mismatched: {sorted(set(mismatched))})"
         )
-    model_cfg, settings = split_config(cfg)
     expected = init_params(model_cfg, settings.dtype)
     if model_cfg.method == "ode":
         expected.update(OdeNet(model_cfg.d_head, settings.lambda_amp, settings.dtype).params())
@@ -364,45 +349,49 @@ def format_table(report: EvalReport) -> str:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each checks all of its input, then returns its work for main to run
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> Callable[[], None]:
     cfg = apply_overrides(load_config_file(args.config), args.set)
     model_cfg, settings = split_config(cfg)
     corpus = _load_run_corpus(cfg, train_lens=[model_cfg.train_len])
     run_dir = make_run_dir(cfg, args.out, "train", model_cfg.method)
-    write_resolved_config(run_dir, cfg)
-    print(f"run dir: {run_dir}", file=sys.stderr)
-    result = train(model_cfg, settings, corpus)
-    write_loss_csv(run_dir, result.trace)
-    save_checkpoint(run_dir / "checkpoint", result.params, checkpoint_extra(cfg))
-    print(f"trained {model_cfg.method} for {settings.steps} steps; "
-          f"final loss {result.trace[-1].loss:.6f}")
-    print(f"checkpoint: {run_dir / 'checkpoint'}")
-    return 0
+
+    def work():
+        write_resolved_config(run_dir, cfg)
+        print(f"run dir: {run_dir}", file=sys.stderr)
+        result = train(model_cfg, settings, corpus)
+        write_loss_csv(run_dir, result.trace)
+        save_checkpoint(run_dir / "checkpoint", result.params, checkpoint_extra(cfg))
+        print(f"trained {model_cfg.method} for {settings.steps} steps; "
+              f"final loss {result.trace[-1].loss:.6f}")
+        print(f"checkpoint: {run_dir / 'checkpoint'}")
+    return work
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> Callable[[], None]:
     cfg = apply_overrides(load_config_file(args.config), args.set)
     model_cfg, settings = split_config(cfg)
     corpus = _load_run_corpus(cfg, eval_lens=cfg["eval_lens"])
-    params, extra = _load_checkpoint(args.checkpoint)
-    check_compat(params, extra, cfg)
+    params, extra = load_checkpoint(args.checkpoint)
+    check_compat(params, extra, cfg, model_cfg, settings)
     run_dir = make_run_dir(cfg, args.out, "eval", model_cfg.method)
-    write_resolved_config(run_dir, cfg)
-    report = evaluate(params, model_cfg, settings, corpus, cfg["eval_lens"])
-    write_report(run_dir, report, cfg)
-    if report.cache is not None:
-        (run_dir / "cache.json").write_text(
-            json.dumps(cache_to_json(report.cache), indent=2, sort_keys=True) + "\n"
-        )
-    print(format_table(report))
-    print(f"report: {run_dir / 'report.csv'}", file=sys.stderr)
-    return 0
+
+    def work():
+        write_resolved_config(run_dir, cfg)
+        report = evaluate(params, model_cfg, settings, corpus, cfg["eval_lens"])
+        write_report(run_dir, report, cfg)
+        if report.cache is not None:
+            (run_dir / "cache.json").write_text(
+                json.dumps(cache_to_json(report.cache), indent=2, sort_keys=True) + "\n"
+            )
+        print(format_table(report))
+        print(f"report: {run_dir / 'report.csv'}", file=sys.stderr)
+    return work
 
 
-def cmd_basis(args) -> int:
+def cmd_basis(args) -> Callable[[], None]:
     d = args.head_dim
     if d % 2 != 0 or d < 2:
         raise InputError(f"head dim must be even and >= 2, got {d}")
@@ -413,21 +402,15 @@ def cmd_basis(args) -> int:
         raise InputError(f"--t expects comma-separated numbers, got {args.t!r}") from None
     if not methods or not t_values:
         raise InputError("need at least one method and one t value")
-    try:
-        xi_form = _typed("xi_form", args.xi_form, TrainSettings.xi_form)
-    except ValueError as e:
-        raise InputError(str(e)) from None
+    xi_form = _typed("xi_form", args.xi_form, TrainSettings.xi_form)
     out = output_file(args.out) if args.out else None
 
     net = None
     # a given checkpoint is read and checked even when no ode row uses it
     if "ode" in methods or args.checkpoint:
-        try:
-            net = OdeNet(d)  # w_down = 0: pure drift
-        except ValueError as e:
-            raise InputError(str(e)) from None
+        net = OdeNet(d)  # w_down = 0: pure drift
         if args.checkpoint:
-            params, _ = _load_checkpoint(args.checkpoint)
+            params, _ = load_checkpoint(args.checkpoint)
             # the width of w_up gives lambda_amp, and its dtype the precision
             w_up = params.get("ode.w_up", np.empty((0, 0)))
             lambda_amp = max(1, w_up.shape[1] // d) if w_up.ndim == 2 else 1
@@ -435,49 +418,46 @@ def cmd_basis(args) -> int:
             _check_tensors(params, expected, expected)
             net = OdeNet.from_params(d, params["ode.w_up"], params["ode.w_down"])
 
+    # computing the rows is what checks each method and t, so only writing them is work
     base = default_basis(d)
     lines = ["method,t,i,theta_i"]
     for method in methods:
         for t in t_values:
-            try:
-                if method == "ode":
-                    basis = solve_basis(t, net, xi_form, args.steps_per_unit)
-                else:
-                    basis = scale_basis(base, alpha(method, t, d))
-            except ValueError as e:
-                raise InputError(str(e)) from None
+            if method == "ode":
+                basis = solve_basis(t, net, xi_form, args.steps_per_unit)
+            else:
+                basis = scale_basis(base, alpha(method, t, d))
             for i, theta_i in enumerate(basis.theta):
                 lines.append(f"{method},{t:.6f},{i},{theta_i:.12g}")
     text = "\n".join(lines) + "\n"
-    if out:
+
+    def work():
+        if not out:
+            print(text, end="")
+            return
         try:
             out.write_text(text)
         except OSError as e:
             raise InputError(f"cannot write {out}: {e}") from None
         print(f"wrote {args.out}", file=sys.stderr)
-    else:
-        print(text, end="")
-    return 0
+    return work
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args) -> Callable[[], None]:
     cfg = apply_overrides(load_config_file(args.config, allow_runs=True), args.set)
     shared = {k: v for k, v in cfg.items() if k != "runs"}
-    entries = []
-    labels = []
-    run_cfgs = []
+    entries, labels, run_cfgs = [], [], []
     for run_doc in cfg["runs"]:
         merged = dict(shared)
         merged.update({k: v for k, v in run_doc.items() if k not in _RUN_ONLY_KEYS})
-        merged = resolve_config(merged)
         run_cfgs.append(merged)
         model_cfg, settings = split_config(merged)
         label = run_doc.get("label") or model_cfg.method
         labels.append(label)
         params = None
         if run_doc.get("checkpoint"):
-            params, extra = _load_checkpoint(run_doc["checkpoint"])
-            check_compat(params, extra, merged)
+            params, extra = load_checkpoint(run_doc["checkpoint"])
+            check_compat(params, extra, merged, model_cfg, settings)
         entries.append(CompareEntry(model_cfg, settings, params, label))
     if len(set(labels)) != len(labels):
         raise InputError(f"duplicate run labels: {labels}; set distinct 'label' keys")
@@ -487,43 +467,50 @@ def cmd_compare(args) -> int:
     if any(label in reserved or set(label) & {os.sep, os.altsep, "\0"} for label in labels):
         raise InputError(f"run labels name subdirectories of the run directory, so may not be one of "
                          f"{sorted(reserved)} or contain a path separator: {labels}")
+    vocabs = sorted({e.cfg.vocab for e in entries})
+    if len(vocabs) > 1:
+        raise InputError(f"runs must share one vocab, got vocab sizes {vocabs}")
 
     train_lens = [e.cfg.train_len for e in entries if e.params is None]
     corpus = _load_run_corpus(cfg, train_lens, cfg["eval_lens"])
     run_dir = make_run_dir(cfg, args.out, "compare", "x".join(labels))
-    write_resolved_config(run_dir, cfg)
-    print(f"run dir: {run_dir}", file=sys.stderr)
-    report, results = compare(entries, corpus, cfg["eval_lens"])
-    write_report(run_dir, report, cfg)
-    for label, run_cfg, result in zip(labels, run_cfgs, results):
-        if result is not None:
-            sub = run_dir / label
-            sub.mkdir(exist_ok=True)
-            write_loss_csv(sub, result.trace)
-            save_checkpoint(sub / "checkpoint", result.params, checkpoint_extra(run_cfg))
 
-    print(format_table(report))
-    print()
-    breaks = extrapolation_breakpoints(report)
-    for label in labels:
-        bp = breaks.get(label)
-        where = f"eval_len {bp}" if bp is not None else "none within the grid"
-        print(f"extrapolation breakpoint for {label}: {where}")
-    return 0
+    def work():
+        write_resolved_config(run_dir, cfg)
+        print(f"run dir: {run_dir}", file=sys.stderr)
+        report, results = compare(entries, corpus, cfg["eval_lens"])
+        write_report(run_dir, report, cfg)
+        for label, run_cfg, result in zip(labels, run_cfgs, results):
+            if result is not None:
+                sub = run_dir / label
+                sub.mkdir(exist_ok=True)
+                write_loss_csv(sub, result.trace)
+                save_checkpoint(sub / "checkpoint", result.params, checkpoint_extra(run_cfg))
+
+        print(format_table(report))
+        print()
+        breaks = extrapolation_breakpoints(report)
+        for label in labels:
+            bp = breaks.get(label)
+            where = f"eval_len {bp}" if bp is not None else "none within the grid"
+            print(f"extrapolation breakpoint for {label}: {where}")
+    return work
 
 
-def cmd_corpus(args) -> int:
+def cmd_corpus(args) -> Callable[[], None]:
     if args.bytes < 1:
         raise InputError("corpus size must be positive")
     if args.seed < 0:
         raise InputError(f"--seed must be a non-negative integer, got {args.seed}")
     out = output_file(args.out)
-    try:
-        write_demo_corpus(out, args.bytes, args.seed)
-    except OSError as e:
-        raise InputError(f"cannot write {out}: {e}") from None
-    print(f"wrote {args.bytes} bytes to {args.out}", file=sys.stderr)
-    return 0
+
+    def work():
+        try:
+            write_demo_corpus(out, args.bytes, args.seed)
+        except OSError as e:
+            raise InputError(f"cannot write {out}: {e}") from None
+        print(f"wrote {args.bytes} bytes to {args.out}", file=sys.stderr)
+    return work
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -572,20 +559,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(error: Exception, code: int) -> int:
+    print(f"error: {error}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Runs a command's input phase, where a CompatError exits 3 and any
+    ValueError or OSError exits 2, then its work, where only an InputError
+    (exit 2) or a NumericalAbort (exit 4) is expected."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        work = args.func(args)
     except CompatError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
+        return _fail(e, 3)
+    except (ValueError, OSError) as e:
+        return _fail(e, 2)
+    try:
+        work()
+    except InputError as e:
+        return _fail(e, 2)
     except NumericalAbort as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
+        return _fail(e, 4)
+    return 0
 
 
 if __name__ == "__main__":

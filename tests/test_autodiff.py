@@ -530,6 +530,8 @@ _DROP = object()  # delete the field instead of setting it
       for key in ("dtype", "shape", "offset", "nbytes")),
     pytest.param("offset", "0", "needs an integer offset, nbytes and shape list", id="offset_str"),
     pytest.param("shape", None, "needs an integer offset, nbytes and shape list", id="shape_null"),
+    pytest.param("shape", [-2, 3], "has negative sizes (nbytes 24, shape [-2, 3])", id="shape_negative"),
+    pytest.param("nbytes", -32, "has negative sizes (nbytes -32, shape [2, 3])", id="nbytes_negative"),
 ])
 def test_checkpoint_damaged_manifest_names_the_tensor(tmp_path, field, value, message):
     import json

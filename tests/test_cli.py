@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ropekit.checkpoint import load_checkpoint, save_checkpoint
+from ropekit import cli
 from ropekit.cli import DEFAULTS, main
 from ropekit.harness import write_demo_corpus
 from ropekit.rotary import alpha, default_basis
@@ -72,6 +74,25 @@ def test_integer_too_long_to_parse_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, {"corpus": "absent.bin"})
     assert main(["train", "-c", str(cfg), "-o", str(tmp_path / "runs"), "--set", f"steps={digits}"]) == 2
     assert "error: steps must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("where, message", [
+    ("file", "config is not valid JSON"),
+    ("set", "eval_lens must be a list"),
+])
+def test_config_nested_too_deep_exits_2(tmp_path, capsys, where, message):
+    # json.loads raises RecursionError, not a ValueError, on such input; a
+    # --set value falls back to the raw string, which the key's type rejects
+    cfg = write_config(tmp_path, {"corpus": "absent.bin"})
+    argv = ["train", "-c", str(cfg), "-o", str(tmp_path / "runs")]
+    if where == "file":
+        cfg.write_text("[" * 100_000)
+    else:
+        argv += ["--set", "eval_lens=" + "[" * 50_000]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and "Traceback" not in err
     assert not (tmp_path / "runs").exists()
 
 
@@ -604,8 +625,9 @@ def test_compare_label_with_comma_exits_2(tmp_path, corpus_file, capsys):
     ([{"label": "."}], "run labels name subdirectories of the run directory"),
     ([{"label": "a/b"}], "run labels name subdirectories of the run directory"),
     ([{"label": "report.csv"}], "run labels name subdirectories of the run directory"),
+    ([{"vocab": 256}, {"vocab": 300, "label": "b"}], "runs must share one vocab, got vocab sizes [256, 300]"),
 ], ids=["int_entry", "list_entry", "object", "label_int", "checkpoint_int", "label_dotdot",
-        "label_dot", "label_slash", "label_report_csv"])
+        "label_dot", "label_slash", "label_report_csv", "vocab_differs"])
 def test_compare_bad_runs_exits_2_before_corpus_load(tmp_path, capsys, runs, message):
     # the corpus is absent, so only a check made before loading it can fail
     doc = {"corpus": str(tmp_path / "absent.bin"), "runs": runs}
@@ -628,6 +650,58 @@ def test_output_root_that_is_a_file_exits_2(tmp_path, capsys, ode_checkpoint, co
     assert err.startswith(f"error: cannot make a run directory under {out}") and "Traceback" not in err
     assert out.read_text() == "kept\n"
     assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+
+_DIRECTORY_INPUTS = [
+    ("train", "config"), ("eval", "config"), ("compare", "config"), ("train", "corpus"),
+    *((command, name) for name in ("manifest.json", "params.bin") for command in ("eval", "compare", "basis")),
+]
+
+
+@pytest.mark.parametrize("command, given", _DIRECTORY_INPUTS, ids=[f"{c}-{g}" for c, g in _DIRECTORY_INPUTS])
+def test_file_input_that_is_a_directory_exits_2_before_any_run(tmp_path, capsys, ode_checkpoint, command, given):
+    # read in the input phase, so the OSError exits 2 before any work starts
+    cfg, ckpt = ode_checkpoint
+    doc = json.loads(cfg.read_text())
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    if given == "config":
+        cfg = folder
+    elif given == "corpus":
+        cfg = write_config(tmp_path, {**doc, "corpus": str(folder)})
+    else:
+        ckpt = tmp_path / "checkpoint"
+        shutil.copytree(ode_checkpoint[1], ckpt)
+        (ckpt / given).unlink()
+        (ckpt / given).mkdir()
+        if command == "compare":
+            cfg = write_config(tmp_path, {**doc, "runs": [{"checkpoint": str(ckpt)}]})
+    argv = {
+        "train": ["train", "-c", str(cfg)],
+        "eval": ["eval", "-c", str(cfg), "--checkpoint", str(ckpt)],
+        "compare": ["compare", "-c", str(cfg)],
+        "basis": ["basis", "-d", "8", "--methods", "ode", "--t", "2", "--checkpoint", str(ckpt)],
+    }[command]
+    assert main([*argv, "-o", str(tmp_path / "runs")]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert out == ""
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("command, target", [("train", "train"), ("eval", "evaluate")])
+def test_value_error_from_the_work_keeps_its_traceback(tmp_path, monkeypatch, ode_checkpoint, command, target):
+    # input is checked before the work, so a ValueError in the work is a bug
+    def broken(*args, **kwargs):
+        raise ValueError("a bug in the work")
+
+    monkeypatch.setattr(cli, target, broken)
+    argv = [command, "-c", str(ode_checkpoint[0]), "-o", str(tmp_path / "runs")]
+    if command == "eval":
+        argv += ["--checkpoint", str(ode_checkpoint[1])]
+    with pytest.raises(ValueError, match="a bug in the work") as raised:
+        main(argv)
+    assert type(raised.value) is ValueError
 
 
 @pytest.mark.parametrize("key, value", [

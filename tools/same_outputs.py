@@ -18,7 +18,13 @@ PYTHONPATH, each in a fresh output directory):
   copied to a fixed relative path so that config.json records the same
   string under both trees;
 - `ropekit basis -d 16 --methods identity,pi,yarn,codellama,ode --t 1,2.5,8`
-  and `ropekit basis -d 64 --methods identity,pi,yarn,codellama --t 1,1.5,4,16`.
+  and `ropekit basis -d 64 --methods identity,pi,yarn,codellama --t 1,1.5,4,16`;
+- a fixed list of bad-input commands (BAD_INPUT), each of which must exit 2,
+  or 3 for a checkpoint that does not match its config: a missing corpus, an
+  unknown key, a wrongly typed key, a bad compare label, a checkpoint with a
+  tensor missing, `basis --t x`, `corpus --seed -1` and an output root that
+  is a file. All paths are relative to the output directory, so each
+  command's exit code and stderr are kept and compared as a file.
 
 It then compares the sha256 of every file, each command's stdout included,
 with the timestamps of run-directory names normalised. It prints the number
@@ -44,6 +50,23 @@ REPO = Path(__file__).resolve().parent.parent
 METHODS = ("rope", "pi", "yarn", "codellama", "randompos", "ode")
 COMPARE = {"steps": 40, "t_train": 4.0, "t_fixed": 4.0, "eval_lens": [128, 256, 512, 1100]}
 STAMP = re.compile(r"\d{8}-\d{6}-")
+BAD_CONFIGS = {
+    "missing-corpus": {"corpus": "absent.txt"},
+    "unknown-key": {"corpus": "corpus.txt", "corpsu": 1},
+    "typed-key": {"corpus": "corpus.txt", "steps": 2.5},
+    "compare-label": {"corpus": "corpus.txt", "runs": [{"label": "a/b"}]},
+}
+BAD_INPUT = {
+    "missing-corpus": ["train", "-c", "bad-missing-corpus.json", "-o", "bad-runs"],
+    "unknown-key": ["train", "-c", "bad-unknown-key.json", "-o", "bad-runs"],
+    "typed-key": ["train", "-c", "bad-typed-key.json", "-o", "bad-runs"],
+    "compare-label": ["compare", "-c", "bad-compare-label.json", "-o", "bad-runs"],
+    "checkpoint-mismatch": ["eval", "-c", "eval-float32.json", "--checkpoint", "bad-checkpoint",
+                            "-o", "bad-runs"],
+    "basis-t": ["basis", "-d", "8", "--t", "x"],
+    "corpus-seed": ["corpus", "-o", "bad-corpus.txt", "--seed", "-1"],
+    "out-root-is-a-file": ["train", "-c", "eval-float32.json", "-o", "corpus.txt"],
+}
 
 
 def unpack(rev: str, dest: Path) -> None:
@@ -61,9 +84,12 @@ def run_protocol(tree: Path, out: Path) -> None:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     env.pop("ROPEKIT_OUT", None)
 
-    def ropekit(name: str, *args: str) -> None:
-        done = subprocess.run([sys.executable, "-m", "ropekit", *args], cwd=out, env=env,
+    def run(*args: str) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, "-m", "ropekit", *args], cwd=out, env=env,
                               capture_output=True, text=True)
+
+    def ropekit(name: str, *args: str) -> None:
+        done = run(*args)
         if done.returncode != 0:
             raise SystemExit(f"{tree}: ropekit {' '.join(args)} exited {done.returncode}:\n{done.stderr}")
         (out / f"{name}.stdout").write_text(done.stdout)
@@ -97,6 +123,20 @@ def run_protocol(tree: Path, out: Path) -> None:
             "--t", "1,2.5,8")
     ropekit("basis-d64", "basis", "-d", "64", "--methods", "identity,pi,yarn,codellama",
             "--t", "1,1.5,4,16")
+
+    for name, doc in BAD_CONFIGS.items():
+        (out / f"bad-{name}.json").write_text(json.dumps(doc))
+    shutil.copytree(out / "ode-float32-checkpoint", out / "bad-checkpoint")
+    manifest = out / "bad-checkpoint" / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    doc["tensors"] = [entry for entry in doc["tensors"] if entry["name"] != "layers.0.wq"]
+    manifest.write_text(json.dumps(doc))
+    for name, args in BAD_INPUT.items():
+        done = run(*args)
+        if done.returncode not in (2, 3):
+            raise SystemExit(f"{tree}: ropekit {' '.join(args)} exited {done.returncode}, "
+                             f"not 2 or 3:\n{done.stderr}")
+        (out / f"bad-{name}.stderr").write_text(f"exit {done.returncode}\n{done.stderr}")
 
 
 def digests(out: Path) -> dict[str, str]:
