@@ -77,7 +77,10 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     manifest_file = path / "manifest.json"
     if not manifest_file.exists():
         raise FileNotFoundError(f"no checkpoint manifest at {manifest_file}")
-    manifest = json.loads(manifest_file.read_text())
+    try:
+        manifest = json.loads(manifest_file.read_text())
+    except (ValueError, RecursionError) as e:  # not JSON, an integer too long, or nested too deep
+        raise ValueError(f"checkpoint manifest is not valid JSON: {e}") from None
     if not isinstance(manifest, dict):
         raise ValueError("checkpoint manifest is not a JSON object")
     version = manifest.get("format_version")

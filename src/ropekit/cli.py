@@ -215,22 +215,13 @@ def config_hash(cfg: dict) -> str:
 
 
 def git_commit() -> str:
+    """HEAD of the checkout holding this module, whatever the cwd; else "unknown"."""
     try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"], capture_output=True, text=True, timeout=10
-        )
+        out = subprocess.run(["git", "rev-parse", "HEAD"], capture_output=True, text=True,
+                             timeout=10, cwd=Path(__file__).resolve().parent)
         return out.stdout.strip() if out.returncode == 0 else "unknown"
     except OSError:
         return "unknown"
-
-
-def run_meta(cfg: dict) -> dict:
-    return {
-        "seed": cfg["seed"],
-        "commit": git_commit(),
-        "config_hash": config_hash(cfg),
-        "xi_form": cfg["xi_form"],
-    }
 
 
 def make_run_dir(cfg: dict, cli_out: str | None, command: str, tag: str) -> Path:
@@ -337,7 +328,9 @@ def check_compat(params: dict, ckpt_extra: dict, cfg: dict, model_cfg: ModelConf
 
 def write_report(run_dir: Path, report: EvalReport, cfg: dict) -> None:
     (run_dir / "report.csv").write_text(report.to_csv())
-    doc = report.to_json_doc(run_meta(cfg))
+    meta = {"seed": cfg["seed"], "commit": git_commit(), "config_hash": config_hash(cfg),
+            "xi_form": cfg["xi_form"]}
+    doc = report.to_json_doc(meta)
     (run_dir / "report.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 

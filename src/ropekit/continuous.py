@@ -30,9 +30,15 @@ class XiForm(enum.Enum):
     PAPER_PRINTED = "paper_printed"
 
 
-def xi(t: float, head_dim: int, form: XiForm = XiForm.LOG_DERIVATIVE) -> np.ndarray:
-    """Fixed (non-learned) drift of the log basis at scale factor t."""
-    t = _check_factor(t)
+def xi(t, head_dim: int, form: XiForm = XiForm.LOG_DERIVATIVE) -> np.ndarray:
+    """Fixed (non-learned) drift of the log basis at scale factor t, shape
+    [head_dim/2], or at each factor of an array t, shape [..., head_dim/2]."""
+    if np.ndim(t):
+        t = np.asarray(t, dtype=np.float64)[..., None]
+        for bound in (t.min(), t.max()):  # both are nan if any factor is
+            _check_factor(bound)
+    else:
+        t = _check_factor(t)
     if head_dim < 4:
         raise ValueError(f"drift needs head_dim >= 4, got {head_dim}")
     i = np.arange(head_dim // 2, dtype=np.float64)
@@ -92,9 +98,10 @@ def solve(
     """Integrate the log basis from factor 1 to t_target with fixed-step RK4
     under dz/dt = w_down . silu(w_up . z) + xi_t.
 
-    Uses max(8, ceil(steps_per_unit*(t_target-1))) steps, all in one
-    ad.rk4_solve node; its gradients in z1 and the net parameters come from
-    the discrete adjoint, the exact gradient of the discretised solve.
+    Uses n = max(8, ceil(steps_per_unit*(t_target-1))) steps, all in one
+    ad.rk4_solve node fed one xi call's [n, 4, d/2] drift table; its
+    gradients in z1 and the net parameters come from the discrete adjoint,
+    the exact gradient of the discretised solve.
     t_target == 1 returns the initial state unchanged.
     """
     t_target = _check_factor(t_target)
@@ -107,12 +114,8 @@ def solve(
     h = (t_target - 1.0) / n
     # xi at each stage's time: the step's start, its midpoint (stages k2 and
     # k3) and its end
-    drift = np.empty((n, 4, net.head_dim // 2))
-    for k in range(n):
-        t0 = 1.0 + k * h
-        drift[k, 0] = xi(t0, net.head_dim, form)
-        drift[k, 1] = drift[k, 2] = xi(t0 + h / 2.0, net.head_dim, form)
-        drift[k, 3] = xi(t0 + h, net.head_dim, form)
+    t0 = 1.0 + np.arange(n) * h
+    drift = xi(np.stack([t0, t0 + h / 2.0, t0 + h / 2.0, t0 + h], axis=1), net.head_dim, form)
     return ad.rk4_solve(z, net.w_up, net.w_down, drift, h)
 
 

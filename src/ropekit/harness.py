@@ -1,6 +1,6 @@
 """Training and evaluation harness: byte corpus handling, each method's
-positions and basis at a given length (the one rule training and
-evaluation share), the training loop, and length-grouped
+positions, basis and attention multiplier at a given length (the one rule
+training and evaluation share), the training loop, and length-grouped
 perplexity/accuracy evaluation with baseline self-extension and the log
 attention-scaling trick."""
 
@@ -192,7 +192,7 @@ def train(cfg: ModelConfig, settings: TrainSettings, corpus: Corpus) -> TrainRes
             zt = solve(z1, t_prime, net, settings.xi_form, settings.steps_per_unit)
             theta = ad.exp(zt)
         else:
-            positions, theta, _ = method_inputs(cfg, cfg.train_len)
+            positions, theta, _, _ = method_inputs(cfg, cfg.train_len)
 
         logits = forward(params, cfg, inputs, positions, theta, 1.0)
         loss = ad.softmax_cross_entropy(logits, targets)
@@ -232,31 +232,33 @@ def self_extension_factor(t_fixed: float, base_len: int, eval_len: int) -> float
 
 def method_inputs(
     cfg: ModelConfig, length: int, session: CacheSession | None = None
-) -> tuple[np.ndarray, FrequencyBasis, float]:
-    """(positions, basis, t) that cfg.method feeds the model at a sequence
-    length. Training uses it at cfg.train_len, at every step, for the
-    methods that draw no random inputs; evaluation uses it at every length.
+) -> tuple[np.ndarray, FrequencyBasis, float, float]:
+    """(positions, basis, t, attn_mult) that cfg.method feeds the model at a
+    sequence length: the one rule that training (at cfg.train_len, for the
+    methods that draw no random inputs) and evaluation share.
 
     rope and randompos use natural positions and the stock basis. pi and
     yarn self-extend their factor past t_fixed*train_len: pi divides the
     positions by it (its 1/t profile moved onto the indices), yarn scales
     the basis by its geometric profile. codellama's profile does not depend
-    on t. ode looks its basis up in the session's cache.
+    on t. ode looks its basis up in the session's cache. All of them scale
+    attention scores by log_scale_mult(train_len, length), 1 at train_len.
     """
     positions = np.arange(1, length + 1, dtype=np.float64)
+    mult = log_scale_mult(cfg.train_len, length)
     if cfg.method == "ode":
         t, basis = session.lookup(length)
-        return positions, basis, t
+        return positions, basis, t, mult
     basis = default_basis(cfg.d_head)
     if cfg.method in ("rope", "randompos"):
-        return positions, basis, 1.0
+        return positions, basis, 1.0, mult
     if cfg.method == "codellama":
-        return positions, scale_basis(basis, alpha("codellama", 1.0, cfg.d_head)), 1.0
+        return positions, scale_basis(basis, alpha("codellama", 1.0, cfg.d_head)), 1.0, mult
     t = self_extension_factor(cfg.t_fixed, cfg.train_len, length)
     if cfg.method == "pi":
-        return positions / t, basis, t
+        return positions / t, basis, t, mult
     if cfg.method == "yarn":
-        return positions, scale_basis(basis, alpha("yarn", t, cfg.d_head)), t
+        return positions, scale_basis(basis, alpha("yarn", t, cfg.d_head)), t, mult
     raise ValueError(f"unknown method {cfg.method!r}")
 
 
@@ -364,9 +366,8 @@ def evaluate(
 ) -> EvalReport:
     """Length-grouped perplexity and next-token accuracy.
 
-    Per length: pick the method's evaluation-time scaling (cache lookup for
-    the continuous method, proportional self-extension for discrete ones),
-    apply the log attention-scaling trick, and score all validation windows.
+    Per length: take the method's positions, basis, factor and attention
+    multiplier from method_inputs, and score all validation windows.
     """
     cfg.validate()
     settings.validate()
@@ -379,8 +380,7 @@ def evaluate(
         if eval_len < 2:
             raise ValueError(f"eval_len must be >= 2, got {eval_len}")
         windows = evaluation_windows(corpus, eval_len)
-        positions, basis, eval_t = method_inputs(cfg, eval_len, session)
-        mult = log_scale_mult(cfg.train_len, eval_len)
+        positions, basis, eval_t, mult = method_inputs(cfg, eval_len, session)
         nll, correct, count = score_windows(
             params, cfg, windows, positions, basis, mult, settings.batch_size
         )

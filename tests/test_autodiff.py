@@ -553,15 +553,22 @@ def test_checkpoint_damaged_manifest_names_the_tensor(tmp_path, field, value, me
     (lambda doc: doc["tensors"][0].pop("name"), "manifest entry #0 has no 'name'"),
     (lambda doc: doc.update(extra=[]), "checkpoint manifest 'extra' is not a JSON object: []"),
     (lambda doc: doc.update(extra=None), "checkpoint manifest 'extra' is not a JSON object: None"),
-], ids=["no_tensors", "no_name", "extra_list", "extra_null"])
+    # a string damage is the whole manifest text; json.loads raises
+    # RecursionError, not a ValueError, on the deeply nested one
+    ("{", "checkpoint manifest is not valid JSON: "),
+    ("[" * 100_000, "checkpoint manifest is not valid JSON: "),
+], ids=["no_tensors", "no_name", "extra_list", "extra_null", "not_json", "nested_too_deep"])
 def test_checkpoint_manifest_without_tensors_or_name_is_rejected(tmp_path, damage, message):
     import json
 
     save_checkpoint(tmp_path / "c", {"w": Tensor(np.zeros(2, dtype=np.float32))}, {})
     manifest = tmp_path / "c" / "manifest.json"
     doc = json.loads(manifest.read_text())
-    damage(doc)
-    manifest.write_text(json.dumps(doc))
+    if isinstance(damage, str):
+        manifest.write_text(damage)
+    else:
+        damage(doc)
+        manifest.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=re.escape(message)):
         load_checkpoint(tmp_path / "c")
 

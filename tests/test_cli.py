@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import shutil
+import subprocess
 import tempfile
 from pathlib import Path
 
@@ -687,6 +688,37 @@ def test_file_input_that_is_a_directory_exits_2_before_any_run(tmp_path, capsys,
     assert err.startswith("error: ") and "Traceback" not in err
     assert out == ""
     assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "compare", "basis"])
+@pytest.mark.parametrize("text", ["{", "[" * 100_000], ids=["not_json", "nested_too_deep"])
+def test_checkpoint_manifest_not_json_exits_2_before_any_run(tmp_path, capsys, ode_checkpoint, command, text):
+    # json.loads raises RecursionError, not a ValueError, on the nested one
+    cfg, ckpt = ode_checkpoint
+    damaged = tmp_path / "checkpoint"
+    shutil.copytree(ckpt, damaged)
+    (damaged / "manifest.json").write_text(text)
+    if command == "compare":
+        cfg = write_config(tmp_path, {**json.loads(cfg.read_text()), "runs": [{"checkpoint": str(damaged)}]})
+    argv = {
+        "eval": ["eval", "-c", str(cfg), "--checkpoint", str(damaged)],
+        "compare": ["compare", "-c", str(cfg)],
+        "basis": ["basis", "-d", "8", "--methods", "ode", "--t", "2", "--checkpoint", str(damaged)],
+    }[command]
+    assert main([*argv, "-o", str(tmp_path / "runs")]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: checkpoint manifest is not valid JSON: ") and "Traceback" not in err
+    assert out == ""
+    assert not (tmp_path / "runs").exists()
+
+
+def test_git_commit_is_that_of_the_module_checkout_not_of_the_working_directory(tmp_path, monkeypatch):
+    # run from a directory outside any checkout, report.json still records
+    # the commit of the checkout that holds ropekit, or "unknown" if none does
+    here = subprocess.run(["git", "rev-parse", "HEAD"], cwd=Path(cli.__file__).resolve().parent,
+                          capture_output=True, text=True)
+    monkeypatch.chdir(tmp_path)
+    assert cli.git_commit() == (here.stdout.strip() if here.returncode == 0 else "unknown")
 
 
 @pytest.mark.parametrize("command, target", [("train", "train"), ("eval", "evaluate")])

@@ -62,6 +62,21 @@ def test_xi_rejects_bad_inputs():
         xi(2.0, 2)
 
 
+def test_xi_takes_an_array_of_factors():
+    # an [n, 4] array of factors, as solve builds its drift table, gives the
+    # scalar calls stacked, bit for bit; one bad factor fails the whole call
+    t = np.array([[1.0, 1.3, 1.3, 2.0], [2.0, 3.7, 3.7, 8.0], [8.0, 16.0, 16.0, 33.3]])
+    for form, d in itertools.product(XiForm, (4, 16, 64)):
+        stacked = np.array([[xi(s, d, form) for s in row] for row in t.tolist()])
+        got = xi(t, d, form)
+        assert got.shape == (3, 4, d // 2) and np.array_equal(got, stacked)
+    for bad in (0.5, np.inf, np.nan):
+        with pytest.raises(ValueError, match=f"scale factor must be finite and >= 1, got {bad}"):
+            xi(np.array([[1.0, 2.0, bad, 3.0]]), 16)
+    with pytest.raises(ValueError, match="scale factor must be finite and >= 1, got 0.5$"):
+        xi(0.5, 16)
+
+
 def test_xi_log_derivative_is_derivative_of_log_profile():
     # finite-difference the closed-form profile in t
     d, t, h = 16, 3.0, 1e-6

@@ -34,7 +34,7 @@ from ropekit.harness import (
     train,
     write_demo_corpus,
 )
-from ropekit.model import ModelConfig, init_params
+from ropekit.model import METHODS, ModelConfig, init_params, log_scale_mult
 from ropekit.rotary import default_basis
 from ropekit.continuous import OdeNet
 
@@ -276,11 +276,31 @@ def test_self_extension_factor_rule():
 
 def test_method_inputs_pi_scales_indices():
     cfg = tiny_cfg(method="pi", t_fixed=2.0)
-    positions, basis, t = method_inputs(cfg, 32)
+    positions, basis, t, _ = method_inputs(cfg, 32)
     assert t == 2.0 and np.array_equal(positions, np.arange(1.0, 33.0) / 2.0)
-    positions, basis, t = method_inputs(cfg, 128)  # past the trained extension 2*32
+    positions, basis, t, _ = method_inputs(cfg, 128)  # past the trained extension 2*32
     assert t == 4.0 and np.array_equal(positions, np.arange(1.0, 129.0) / 4.0)
     assert np.array_equal(basis.theta, default_basis(cfg.d_head).theta)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_method_inputs_returns_the_attention_multiplier(text_corpus, method):
+    # every method's rule carries the log scaling multiplier, exactly 1 at
+    # train_len, and evaluate's rows report that value
+    cfg = tiny_cfg(method=method, t_fixed=2.0, t_train=2.0)
+    params = init_params(cfg, dtype=np.float32)
+    settings = tiny_settings()
+    session = None
+    lens = [32, 128]
+    if method == "ode":
+        params.update(OdeNet(cfg.d_head, dtype=np.float32).params())
+        _, session = make_cache_session(params, cfg, settings)
+        lens.append(512)  # past the largest cached factor, 8 x 32
+    mults = [method_inputs(cfg, length, session)[3] for length in lens]
+    assert mults == [log_scale_mult(cfg.train_len, length) for length in lens]
+    assert mults[0] == 1.0 and mults[1] > 1.0
+    report = evaluate(params, cfg, settings, text_corpus, lens)
+    assert [r.attn_scale_mult for r in report.rows] == mults
 
 
 @pytest.mark.parametrize("method", ["rope", "pi", "yarn", "codellama"])

@@ -27,9 +27,12 @@ PYTHONPATH, each in a fresh output directory):
   command's exit code and stderr are kept and compared as a file.
 
 It then compares the sha256 of every file, each command's stdout included,
-with the timestamps of run-directory names normalised. It prints the number
-of identical files and exits 0, or names each file that differs or exists on
-one side only and exits 1. Takes a few minutes on two cores.
+with the timestamps of run-directory names normalised and `meta.commit` in
+every report.json set to one fixed string: ropekit records the commit of the
+checkout it is imported from, which differs between the two trees (and is
+"unknown" for the unpacked one). It prints the number of identical files
+and exits 0, or names each file that differs or exists on one side only and
+exits 1. Takes a few minutes on two cores.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ REPO = Path(__file__).resolve().parent.parent
 METHODS = ("rope", "pi", "yarn", "codellama", "randompos", "ode")
 COMPARE = {"steps": 40, "t_train": 4.0, "t_fixed": 4.0, "eval_lens": [128, 256, 512, 1100]}
 STAMP = re.compile(r"\d{8}-\d{6}-")
+COMMIT = re.compile(rb'"commit": "[^"]*"')
 BAD_CONFIGS = {
     "missing-corpus": {"corpus": "absent.txt"},
     "unknown-key": {"corpus": "corpus.txt", "corpsu": 1},
@@ -78,8 +82,7 @@ def unpack(rev: str, dest: Path) -> None:
 
 def run_protocol(tree: Path, out: Path) -> None:
     """Every command of the protocol with tree/src first on the import path,
-    writing into out. The cwd is out, outside any git checkout, so both
-    sides record the same commit ("unknown") in report.json."""
+    writing into out, which is also the cwd."""
     out.mkdir(parents=True)
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     env.pop("ROPEKIT_OUT", None)
@@ -139,9 +142,16 @@ def run_protocol(tree: Path, out: Path) -> None:
         (out / f"bad-{name}.stderr").write_text(f"exit {done.returncode}\n{done.stderr}")
 
 
+def digest(path: Path) -> str:
+    data = path.read_bytes()
+    if path.name == "report.json":
+        data = COMMIT.sub(b'"commit": "COMMIT"', data)
+    return hashlib.sha256(data).hexdigest()
+
+
 def digests(out: Path) -> dict[str, str]:
     return {
-        STAMP.sub("RUN-", str(path.relative_to(out))): hashlib.sha256(path.read_bytes()).hexdigest()
+        STAMP.sub("RUN-", str(path.relative_to(out))): digest(path)
         for path in sorted(out.rglob("*")) if path.is_file()
     }
 
