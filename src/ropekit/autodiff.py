@@ -4,7 +4,7 @@ Dynamic tape: each operation records a backward closure on its output node
 and backward() replays the closures in reverse topological order. Two
 precision modes are supported (float32 for training, float64 for
 verification) and are kept strictly separate: mixing dtypes in one op is an
-error. The elementwise ops take operands of equal shape only; matmul applies a
+error. add takes operands of equal shape only; matmul applies a
 [k, n] weight to the last axis of a tensor of any rank; the layer kernels
 broadcast internally. backward() leaves a gradient on the leaves only:
 intermediate flows are dropped as soon as they have been propagated.
@@ -117,14 +117,6 @@ def _check_dtypes(a: Tensor, b: Tensor) -> None:
         raise TypeError(f"dtype mismatch: {a.data.dtype.name} vs {b.data.dtype.name}")
 
 
-def _equal_pair(a, b) -> tuple[Tensor, Tensor]:
-    a, b = as_tensor(a), as_tensor(b)
-    _check_dtypes(a, b)
-    if a.shape != b.shape:
-        raise ValueError(f"incompatible shapes {a.shape} and {b.shape}: operands must have equal shapes")
-    return a, b
-
-
 def backward(root: Tensor) -> None:
     """Accumulate d(root)/dx into .grad for every reachable requires_grad leaf.
 
@@ -182,7 +174,10 @@ def _toposort(root: Tensor) -> list[Tensor]:
 
 
 def add(a, b) -> Tensor:
-    a, b = _equal_pair(a, b)
+    a, b = as_tensor(a), as_tensor(b)
+    _check_dtypes(a, b)
+    if a.shape != b.shape:
+        raise ValueError(f"incompatible shapes {a.shape} and {b.shape}: operands must have equal shapes")
     out = _node(a.data + b.data, (a, b))
     if out.requires_grad:
 
@@ -191,21 +186,6 @@ def add(a, b) -> Tensor:
                 _accum(a, g)
             if b.requires_grad:
                 _accum(b, g)
-
-        out._backward = bw
-    return out
-
-
-def mul(a, b) -> Tensor:
-    a, b = _equal_pair(a, b)
-    out = _node(a.data * b.data, (a, b))
-    if out.requires_grad:
-
-        def bw(g):
-            if a.requires_grad:
-                _accum(a, g * b.data)
-            if b.requires_grad:
-                _accum(b, g * a.data)
 
         out._backward = bw
     return out
@@ -308,18 +288,6 @@ def reshape(x, shape: Sequence[int]) -> Tensor:
 
         def bw(g):
             _accum(x, np.reshape(g, orig))
-
-        out._backward = bw
-    return out
-
-
-def sum_all(x) -> Tensor:
-    x = as_tensor(x)
-    out = _node(np.asarray(x.data.sum(dtype=x.data.dtype)), (x,))
-    if out.requires_grad:
-
-        def bw(g):
-            _accum(x, np.broadcast_to(g, x.shape).astype(x.data.dtype, copy=False))
 
         out._backward = bw
     return out

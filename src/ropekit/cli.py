@@ -17,7 +17,6 @@ import argparse
 import enum
 import hashlib
 import json
-import math
 import os
 import subprocess
 import sys
@@ -29,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .continuous import OdeNet, cache_to_json, solve_basis
+from .continuous import OdeNet, cache_to_json, rk4_steps, solve_basis
 from .harness import (
     CompareEntry,
     EvalReport,
@@ -180,31 +179,24 @@ def split_config(cfg: dict) -> tuple[ModelConfig, TrainSettings]:
     shared = {k: _typed(k, cfg[k], d) for k, d in _SHARED_DEFAULTS.items()}
     if model_cfg.vocab < 256:
         raise ValueError(f"vocab must be >= 256 to hold every byte of the corpus, got {model_cfg.vocab}")
+    if not shared["eval_lens"]:
+        raise ValueError("eval_lens must list at least one length")
     if not all(n >= 2 for n in shared["eval_lens"]):
         raise ValueError(f"eval_lens must all be >= 2, got {shared['eval_lens']}")
     m, batch = model_cfg, settings.batch_size
-    itemsize = np.dtype(settings.dtype).itemsize
-    arrays = [
-        ("vocab x d_model (the embedding table)", m.vocab * m.d_model, itemsize),
-        ("d_model x 4 d_model (an MLP weight)", 4 * m.d_model**2, itemsize),
-        ("batch_size x train_len x vocab (a step's logits)", batch * m.train_len * m.vocab, itemsize),
-        ("batch_size x n_heads x train_len^2 (a step's attention weights)",
-         batch * m.n_heads * m.train_len**2, itemsize),
-    ]
-    if m.method == "ode":
-        # continuous.solve's float64 drift table at the largest factor the
-        # config solves at; the step count stays a float until it is known
-        # to fit, so an infinite one never reaches int
-        t_max = max(m.t_train, settings.cache_factors[-1],
-                    max(shared["eval_lens"], default=0) / m.train_len)
-        steps = settings.steps_per_unit * (t_max - 1.0)
-        if steps * 2 * m.d_head <= np.iinfo(np.intp).max // 8:
-            steps = max(8, math.ceil(steps))
-        arrays.append(("RK4 steps x 4 x d_head/2 (the ODE solve's drift table)", steps * 2 * m.d_head, 8))
-    for shape, size, itemsize in arrays:
-        limit = np.iinfo(np.intp).max // itemsize
+    limit = np.iinfo(np.intp).max // np.dtype(settings.dtype).itemsize
+    for shape, size in (
+        ("vocab x d_model (the embedding table)", m.vocab * m.d_model),
+        ("d_model x 4 d_model (an MLP weight)", 4 * m.d_model**2),
+        ("batch_size x train_len x vocab (a step's logits)", batch * m.train_len * m.vocab),
+        ("batch_size x n_heads x train_len^2 (a step's attention weights)", batch * m.n_heads * m.train_len**2),
+    ):
         if size > limit:
             raise ValueError(f"{shape} is {size} entries, more than a numpy array can hold ({limit})")
+    if m.method == "ode":
+        # continuous.solve's drift table at the largest factor the config solves at
+        t_max = max(m.t_train, settings.cache_factors[-1], max(shared["eval_lens"]) / m.train_len)
+        rk4_steps(t_max, settings.steps_per_unit, m.d_head)
     return model_cfg, settings
 
 

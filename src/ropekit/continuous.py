@@ -31,14 +31,11 @@ class XiForm(enum.Enum):
 
 
 def xi(t, head_dim: int, form: XiForm = XiForm.LOG_DERIVATIVE) -> np.ndarray:
-    """Fixed (non-learned) drift of the log basis at scale factor t, shape
-    [head_dim/2], or at each factor of an array t, shape [..., head_dim/2]."""
-    if np.ndim(t):
-        t = np.asarray(t, dtype=np.float64)[..., None]
-        for bound in (t.min(), t.max()):  # both are nan if any factor is
-            _check_factor(bound)
-    else:
-        t = _check_factor(t)
+    """Fixed (non-learned) drift of the log basis at each scale factor of t,
+    shape [..., head_dim/2]; a scalar t gives shape [head_dim/2]."""
+    t = np.asarray(t, dtype=np.float64)[..., None]
+    for bound in (t.min(), t.max()):  # both are nan if any factor is
+        _check_factor(bound)
     if head_dim < 4:
         raise ValueError(f"drift needs head_dim >= 4, got {head_dim}")
     i = np.arange(head_dim // 2, dtype=np.float64)
@@ -88,6 +85,22 @@ class OdeNet:
         return net
 
 
+def rk4_steps(t_target: float, steps_per_unit: int, head_dim: int) -> int:
+    """Number of RK4 steps of a solve from factor 1 to t_target,
+    max(8, ceil(steps_per_unit*(t_target-1))), checked so that the solve's
+    [steps, 4, head_dim/2] float64 drift table fits in a numpy array. The
+    count stays a float until it is known to fit, so an infinite one never
+    reaches int."""
+    limit = np.iinfo(np.intp).max // 8
+    steps = steps_per_unit * (t_target - 1.0)
+    if steps * 2 * head_dim <= limit:
+        steps = max(8, math.ceil(steps))
+    if not steps * 2 * head_dim <= limit:
+        raise ValueError(f"RK4 steps x 4 x d_head/2 (the ODE solve's drift table) is {steps * 2 * head_dim} "
+                         f"entries, more than a numpy array can hold ({limit})")
+    return steps
+
+
 def solve(
     z1,
     t_target: float,
@@ -98,7 +111,7 @@ def solve(
     """Integrate the log basis from factor 1 to t_target with fixed-step RK4
     under dz/dt = w_down . silu(w_up . z) + xi_t.
 
-    Uses n = max(8, ceil(steps_per_unit*(t_target-1))) steps, all in one
+    Uses n = rk4_steps(t_target, steps_per_unit, head_dim) steps, all in one
     ad.rk4_solve node fed one xi call's [n, 4, d/2] drift table; its
     gradients in z1 and the net parameters come from the discrete adjoint,
     the exact gradient of the discretised solve.
@@ -110,7 +123,7 @@ def solve(
     z = ad.as_tensor(z1, dtype=net.w_up.dtype)
     if t_target == 1.0:
         return z
-    n = max(8, math.ceil(steps_per_unit * (t_target - 1.0)))
+    n = rk4_steps(t_target, steps_per_unit, net.head_dim)
     h = (t_target - 1.0) / n
     # xi at each stage's time: the step's start, its midpoint (stages k2 and
     # k3) and its end

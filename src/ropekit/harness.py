@@ -154,8 +154,6 @@ class StepRecord:
 class TrainResult:
     params: dict[str, Tensor]
     trace: list[StepRecord]
-    cfg: ModelConfig
-    settings: TrainSettings
 
 
 def train(cfg: ModelConfig, settings: TrainSettings, corpus: Corpus) -> TrainResult:
@@ -214,7 +212,7 @@ def train(cfg: ModelConfig, settings: TrainSettings, corpus: Corpus) -> TrainRes
                 f"[{cfg.method}] step {step + 1}/{settings.steps} loss {loss_val:.4f}",
                 file=sys.stderr,
             )
-    return TrainResult(params, trace, cfg, settings)
+    return TrainResult(params, trace)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Shared test oracles: finite differences, dense rotation matrices, a
 straight-line numpy reimplementation of the transformer forward pass, the
-RK4 solve unrolled into elementary tape ops, and the demo corpus drawn with
-one Generator.choice call per pick.
+RK4 solve unrolled into elementary tape ops, a weighted-sum loss, and the
+demo corpus drawn with one Generator.choice call per pick.
 
-Everything here except the unrolled solve is deliberately independent of the
-library's autodiff path: plain numpy, explicit loops, no tape. The unrolled
-solve is built from ad.matmul, ad.silu, ad.add and ad.scale, one node per
-operation, so its gradients come from backpropagation through every stage."""
+Everything here except the unrolled solve and the weighted-sum loss is
+deliberately independent of the library's autodiff path: plain numpy,
+explicit loops, no tape. The unrolled solve is built from ad.matmul,
+ad.silu, ad.add and ad.scale, one node per operation, so its gradients come
+from backpropagation through every stage."""
 
 from __future__ import annotations
 
@@ -44,6 +45,14 @@ def numerical_grad(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
     return g
 
 
+def weighted_sum(out: Tensor, w) -> Tensor:
+    """sum(w * out) as a scalar tape node, one product of out flattened to
+    [1, n] with w as an [n, 1] column: the flow it passes back to out is
+    1.0 * w, which is w itself."""
+    w = Tensor(np.asarray(w).reshape(-1, 1), dtype=out.dtype)
+    return ad.matmul(ad.reshape(out, (1, out.size)), w)
+
+
 def grad_check(build, x: np.ndarray, tol: float = 1e-5, h: float = 1e-6, seed: int = 0) -> float:
     """Check d(sum(w * build(x)))/dx against central differences.
 
@@ -54,8 +63,7 @@ def grad_check(build, x: np.ndarray, tol: float = 1e-5, h: float = 1e-6, seed: i
     xt = Tensor(x, requires_grad=True)
     out = build(xt)
     w = np.random.default_rng(seed).normal(size=out.shape)
-    loss = ad.sum_all(ad.mul(out, Tensor(w, dtype=np.float64)))
-    ad.backward(loss)
+    ad.backward(weighted_sum(out, w))
 
     def f(arr):
         with ad.no_grad():

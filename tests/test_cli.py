@@ -107,6 +107,7 @@ def test_train_unknown_key_exits_2(tmp_path, capsys):
     ({"steps": 0}, "steps must"),
     ({"batch_size": 0}, "batch_size must"),
     ({"eval_lens": [128, 1]}, "eval_lens must"),
+    ({"eval_lens": []}, "eval_lens must list at least one length"),
     ({"eval_lens": [64.5]}, "eval_lens must"),
     ({"eval_lens": "128"}, "eval_lens must"),
     ({"cache_factors": [2.0, 1.0]}, "cache_factors must"),
@@ -137,7 +138,7 @@ def test_train_unknown_key_exits_2(tmp_path, capsys):
     ({"d_model": 10**30, "n_heads": 1}, "d_model must be an integer in the signed 64-bit range"),
     ({"vocab": 2**62}, "vocab x d_model (the embedding table) is 295147905179352825856 entries"),
     ({"batch_size": 2**62}, "batch_size x train_len x vocab (a step's logits) is"),
-], ids=["steps", "batch_size", "eval_len_1", "eval_len_float", "eval_lens_str",
+], ids=["steps", "batch_size", "eval_len_1", "eval_lens_empty", "eval_len_float", "eval_lens_str",
         "cache_descending", "cache_below_1", "cache_inf", "n_heads", "n_layers", "d_model",
         "steps_per_unit", "lambda_amp", "ode_head_dim_2",
         "steps_fraction", "train_len_fraction", "d_model_integral_float", "steps_bool",
@@ -553,12 +554,13 @@ def test_basis_odd_dim_exits_2(tmp_path, capsys):
     ["-d", "8", "--methods", "ode", "--t", "0.5"],
     ["-d", "2", "--methods", "ode", "--t", "1"],
     ["-d", "8", "--methods", "ode", "--t", "inf"],
+    ["-d", "8", "--methods", "ode", "--t", "1.7e308"],
     ["-d", "8", "--methods", "yarn", "--t", "nan"],
     ["-d", "8", "--methods", "ode", "--xi-form", "bogus"],
     ["-d", "8", "-o", "{tmp}/absent/basis.csv"],
     ["-d", "8", "-o", "{tmp}"],
 ], ids=["missing_checkpoint", "missing_checkpoint_without_ode", "t_not_a_number", "ode_t_below_1",
-        "ode_head_dim_2", "ode_t_inf", "yarn_t_nan", "xi_form_unknown", "missing_out_dir",
+        "ode_head_dim_2", "ode_t_inf", "t_overflows_steps", "yarn_t_nan", "xi_form_unknown", "missing_out_dir",
         "out_is_a_directory"])
 def test_basis_bad_input_exits_2(tmp_path, capsys, argv):
     assert main(["basis", *(a.format(tmp=tmp_path) for a in argv)]) == 2

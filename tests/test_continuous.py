@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import max_rel_err, unrolled_solve
+from helpers import max_rel_err, unrolled_solve, weighted_sum
 
 from ropekit import autodiff as ad
 from ropekit.autodiff import Tensor
@@ -19,6 +19,7 @@ from ropekit.continuous import (
     build_cache,
     cache_to_json,
     position_plan,
+    rk4_steps,
     sample_train_factor,
     solve,
     solve_basis,
@@ -70,6 +71,7 @@ def test_xi_takes_an_array_of_factors():
         stacked = np.array([[xi(s, d, form) for s in row] for row in t.tolist()])
         got = xi(t, d, form)
         assert got.shape == (3, 4, d // 2) and np.array_equal(got, stacked)
+        assert xi(2.0, d, form).shape == (d // 2,)
     for bad in (0.5, np.inf, np.nan):
         with pytest.raises(ValueError, match=f"scale factor must be finite and >= 1, got {bad}"):
             xi(np.array([[1.0, 2.0, bad, 3.0]]), 16)
@@ -225,12 +227,38 @@ def test_solve_step_count_floor():
     assert max_rel_err(solved.theta, expected.theta) < 1e-9
 
 
+_DRIFT_TABLE_INF = r"^RK4 steps x 4 x d_head/2 \(the ODE solve's drift table\) is inf entries"
+
+
 def test_solve_rejects_bad_inputs():
     net = _zero_net(8)
     with pytest.raises(ValueError):
         solve(np.zeros(4), 0.5, net)
     with pytest.raises(ValueError):
         solve(np.zeros(4), 2.0, net, steps_per_unit=0)
+    # 8 steps per unit of a factor near the float maximum is an infinite count
+    with pytest.raises(ValueError, match=_DRIFT_TABLE_INF):
+        solve(np.zeros(4), 1.7e308, net)
+
+
+def test_rk4_steps_is_solves_step_count(monkeypatch):
+    # at least 8 steps, else ceil(steps_per_unit * (t - 1))
+    assert rk4_steps(1.05, 8, 8) == 8
+    assert rk4_steps(8.0, 8, 8) == 56
+    assert rk4_steps(16.0, 8, 8) == 120
+    shapes = []
+    real = ad.rk4_solve
+
+    def recording(z, w_up, w_down, drift, h):
+        shapes.append(drift.shape)
+        return real(z, w_up, w_down, drift, h)
+
+    monkeypatch.setattr(ad, "rk4_solve", recording)
+    for t in (1.05, 8.0, 16.0):
+        solve(np.zeros(4), t, _zero_net(8))
+    assert shapes == [(8, 4, 4), (56, 4, 4), (120, 4, 4)]
+    with pytest.raises(ValueError, match=_DRIFT_TABLE_INF):
+        rk4_steps(np.inf, 8, 8)
 
 
 def test_solve_gradients_match_finite_differences():
@@ -245,7 +273,7 @@ def test_solve_gradients_match_finite_differences():
         net.w_up = Tensor(w_up, requires_grad=True)
         net.w_down = Tensor(w_down, requires_grad=True)
         z = solve(np.log(base_theta), 3.0, net, steps_per_unit=4)
-        return ad.sum_all(ad.exp(z)), net
+        return weighted_sum(ad.exp(z), np.ones(d // 2)), net
 
     loss, net = loss_value(w_up0, w_down0)
     ad.backward(loss)
@@ -281,9 +309,9 @@ def _solve_and_grads(fn, dtype, form, spu, t):
     net.w_up = Tensor(r.normal(scale=0.3, size=net.w_up.shape).astype(dtype), requires_grad=True)
     net.w_down = Tensor(r.normal(scale=0.3, size=net.w_down.shape).astype(dtype), requires_grad=True)
     z1 = Tensor(np.log(default_basis(d).theta).astype(dtype), requires_grad=True)
-    weights = Tensor(r.normal(size=d // 2).astype(dtype))
+    weights = r.normal(size=d // 2).astype(dtype)
     out = fn(z1, t, net, form, spu)
-    ad.backward(ad.sum_all(ad.mul(out, weights)))
+    ad.backward(weighted_sum(out, weights))
     return out.data, z1.grad, net.w_up.grad, net.w_down.grad
 
 

@@ -356,8 +356,9 @@ def test_evaluate_pi_extends_factor_beyond_training(text_corpus):
 
 def test_evaluate_ode_uses_cache_at_train_len(text_corpus):
     cfg = tiny_cfg(method="ode", t_train=2.0, seed=7)
-    result = train(cfg, tiny_settings(), text_corpus)
-    report = evaluate(result.params, cfg, result.settings, text_corpus, [32])
+    settings = tiny_settings()
+    result = train(cfg, settings, text_corpus)
+    report = evaluate(result.params, cfg, settings, text_corpus, [32])
     row = report.rows[0]
     assert row.eval_t == 1.0
     assert row.attn_scale_mult == 1.0

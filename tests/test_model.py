@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import reference_forward
+from helpers import reference_forward, weighted_sum
 
 from ropekit import autodiff as ad
 from ropekit import model
@@ -101,7 +101,7 @@ def test_causality_gradients_exactly_zero(monkeypatch):
     logits = forward(params, cfg, toks, natural(8), basis)
     w = np.zeros(logits.shape)
     w[:, j, :] = rng.normal(size=(2, cfg.vocab))
-    ad.backward(ad.sum_all(ad.mul(logits, Tensor(w))))
+    ad.backward(weighted_sum(logits, w))
     future = embedded.grad[:, j + 1 :, :]
     past = embedded.grad[:, : j + 1, :]
     assert np.all(future == 0.0)

@@ -17,8 +17,10 @@ PYTHONPATH, each in a fresh output directory):
   t_fixed 2, and `ode_reused` evaluates the float32 ode checkpoint, first
   copied to a fixed relative path so that config.json records the same
   string under both trees;
-- `ropekit basis -d 16 --methods identity,pi,yarn,codellama,ode --t 1,2.5,8`
-  and `ropekit basis -d 64 --methods identity,pi,yarn,codellama --t 1,1.5,4,16`;
+- `ropekit basis -d 16 --methods identity,pi,yarn,codellama,ode --t 1,2.5,8`,
+  the same factors for `ode` with the copied float32 ode checkpoint's
+  trained weights (`--checkpoint`), and
+  `ropekit basis -d 64 --methods identity,pi,yarn,codellama --t 1,1.5,4,16`;
 - a fixed list of bad-input commands (BAD_INPUT), each of which must exit 2,
   or 3 for a checkpoint that does not match its config: a missing corpus, an
   unknown key, a wrongly typed key, a bad compare label, a checkpoint with a
@@ -124,6 +126,8 @@ def run_protocol(tree: Path, out: Path) -> None:
             ropekit("compare-labelled", "compare", "-c", "compare-labelled.json", "-o", "labelled")
     ropekit("basis", "basis", "-d", "16", "--methods", "identity,pi,yarn,codellama,ode",
             "--t", "1,2.5,8")
+    ropekit("basis-checkpoint", "basis", "-d", "16", "--methods", "ode", "--t", "1,2.5,8",
+            "--checkpoint", "ode-float32-checkpoint")
     ropekit("basis-d64", "basis", "-d", "64", "--methods", "identity,pi,yarn,codellama",
             "--t", "1,1.5,4,16")
 
