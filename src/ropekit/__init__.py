@@ -3,7 +3,7 @@ continuous ODE-driven length extrapolation, with a desk-scale byte-level
 transformer harness for train-short / test-long experiments."""
 
 from .autodiff import Tensor, backward, no_grad
-from .continuous import BasisCache, CacheSession, OdeNet, XiForm
+from .continuous import BasisCache, CacheSession, OdeNet
 from .harness import Corpus, EvalReport, TrainSettings, compare, evaluate, load_corpus, train
 from .model import ModelConfig, forward, log_scale_mult
 from .rotary import FrequencyBasis, alpha, apply_rotary, default_basis, pair_score, scale_basis
@@ -17,7 +17,6 @@ __all__ = [
     "BasisCache",
     "CacheSession",
     "OdeNet",
-    "XiForm",
     "Corpus",
     "EvalReport",
     "TrainSettings",

@@ -14,7 +14,6 @@ abort. An error the work raises otherwise is a bug and keeps its traceback.
 from __future__ import annotations
 
 import argparse
-import enum
 import hashlib
 import json
 import os
@@ -28,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .continuous import OdeNet, cache_to_json, rk4_steps, solve_basis
+from .continuous import OdeNet, cache_to_json, check_fits, rk4_steps, solve_basis
 from .harness import (
     CompareEntry,
     EvalReport,
@@ -62,12 +61,10 @@ _SHARED_DEFAULTS = {
     "out_dir": None,
 }
 # Every other key is a ModelConfig or TrainSettings field, and its default
-# there is its only definition: an enum is written as its value, a tuple as
-# a list.
+# there is its only definition, a tuple written as a list.
 DEFAULTS: dict = {
     **{
-        f.name: f.default.value if isinstance(f.default, enum.Enum)
-        else list(f.default) if isinstance(f.default, tuple) else f.default
+        f.name: list(f.default) if isinstance(f.default, tuple) else f.default
         for cls in (ModelConfig, TrainSettings) for f in fields(cls)
     },
     **_SHARED_DEFAULTS,
@@ -144,13 +141,8 @@ def _typed(key: str, value, default):
     value is truncated or reinterpreted: an int takes only a JSON integer, a
     float an integer or a float, and neither a bool; an integer must fit in
     int64 and a float key's integer in a float; a str takes a string
-    and a None default null or a string; an enum takes one of its values,
-    and a list or tuple a list of its first entry's type."""
-    if isinstance(default, enum.Enum):
-        values = sorted(m.value for m in type(default))
-        if value not in values:
-            raise ValueError(f"{key} must be one of {values}, got {value!r}")
-        return type(default)(value)
+    and a None default null or a string, and a list or tuple a list of its
+    first entry's type."""
     listed = isinstance(default, (list, tuple))
     kind = type(default[0]) if listed else type(default)
     types, name = _JSON_TYPES[kind]
@@ -320,8 +312,7 @@ def check_compat(params: dict, ckpt_extra: dict, cfg: dict, model_cfg: ModelConf
 
 def write_report(run_dir: Path, report: EvalReport, cfg: dict) -> None:
     (run_dir / "report.csv").write_text(report.to_csv())
-    meta = {"seed": cfg["seed"], "commit": git_commit(), "config_hash": config_hash(cfg),
-            "xi_form": cfg["xi_form"]}
+    meta = {"seed": cfg["seed"], "commit": git_commit(), "config_hash": config_hash(cfg)}
     doc = report.to_json_doc(meta)
     (run_dir / "report.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
@@ -380,6 +371,7 @@ def cmd_basis(args) -> Callable[[], None]:
     d = args.head_dim
     if d % 2 != 0 or d < 2:
         raise InputError(f"head dim must be even and >= 2, got {d}")
+    check_fits("d/2 (the frequency basis)", d // 2)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     try:
         t_values = [float(t) for t in args.t.split(",") if t.strip()]
@@ -387,12 +379,12 @@ def cmd_basis(args) -> Callable[[], None]:
         raise InputError(f"--t expects comma-separated numbers, got {args.t!r}") from None
     if not methods or not t_values:
         raise InputError("need at least one method and one t value")
-    xi_form = _typed("xi_form", args.xi_form, TrainSettings.xi_form)
     out = output_file(args.out) if args.out else None
 
     net = None
     # a given checkpoint is read and checked even when no ode row uses it
     if "ode" in methods or args.checkpoint:
+        check_fits("d/2 x d (the dynamics net's w_up)", d // 2 * d)
         net = OdeNet(d)  # w_down = 0: pure drift
         if args.checkpoint:
             params, _ = load_checkpoint(args.checkpoint)
@@ -409,7 +401,7 @@ def cmd_basis(args) -> Callable[[], None]:
     for method in methods:
         for t in t_values:
             if method == "ode":
-                basis = solve_basis(t, net, xi_form, args.steps_per_unit)
+                basis = solve_basis(t, net, args.steps_per_unit)
             else:
                 basis = scale_basis(base, alpha(method, t, d))
             for i, theta_i in enumerate(basis.theta):
@@ -525,7 +517,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma list from: identity,pi,yarn,codellama,ode")
     p_basis.add_argument("--t", default="1,2,4", help="comma list of scale factors")
     p_basis.add_argument("--checkpoint", default=None, help="dynamics weights for ode rows")
-    p_basis.add_argument("--xi-form", default=DEFAULTS["xi_form"])
     p_basis.add_argument("--steps-per-unit", type=int, default=DEFAULTS["steps_per_unit"])
     p_basis.add_argument("-o", "--out", default=None)
     p_basis.set_defaults(func=cmd_basis)

@@ -5,8 +5,8 @@ the inference-time basis cache."""
 
 from __future__ import annotations
 
-import enum
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -17,31 +17,18 @@ from .autodiff import Tensor
 from .rotary import FrequencyBasis, _check_factor, default_basis
 
 
-class XiForm(enum.Enum):
-    """Which closed form to use for the fixed drift term.
-
-    LOG_DERIVATIVE is d/dt of the log of the geometric profile,
-    -2i/((d-2) t), consistent with dynamics over z = log theta.
-    PAPER_PRINTED is -2i/((d-2) t^(2i/(d-2)+1)), which is d/dt of the
-    profile itself; kept selectable since both readings are defensible.
-    """
-
-    LOG_DERIVATIVE = "log_derivative"
-    PAPER_PRINTED = "paper_printed"
-
-
-def xi(t, head_dim: int, form: XiForm = XiForm.LOG_DERIVATIVE) -> np.ndarray:
+def xi(t, head_dim: int) -> np.ndarray:
     """Fixed (non-learned) drift of the log basis at each scale factor of t,
-    shape [..., head_dim/2]; a scalar t gives shape [head_dim/2]."""
+    -2i/((d-2) t), shape [..., head_dim/2]; a scalar t gives shape
+    [head_dim/2]. It is d/dt of the log of the yarn profile, so a net with
+    w_down = 0 solves to that profile exactly (acceptance criterion 3)."""
     t = np.asarray(t, dtype=np.float64)[..., None]
     for bound in (t.min(), t.max()):  # both are nan if any factor is
         _check_factor(bound)
     if head_dim < 4:
         raise ValueError(f"drift needs head_dim >= 4, got {head_dim}")
     i = np.arange(head_dim // 2, dtype=np.float64)
-    if form is XiForm.LOG_DERIVATIVE:
-        return -2.0 * i / ((head_dim - 2) * t)
-    return -2.0 * i / ((head_dim - 2) * t ** (2.0 * i / (head_dim - 2) + 1.0))
+    return -2.0 * i / ((head_dim - 2) * t)
 
 
 class OdeNet:
@@ -85,29 +72,28 @@ class OdeNet:
         return net
 
 
+def check_fits(what: str, entries) -> None:
+    """ValueError unless a float64 array of `entries` entries fits both
+    numpy's size limit and the machine's physical memory; entries may be a
+    float, even an infinite one."""
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    limit = min(np.iinfo(np.intp).max, memory) // 8
+    if not entries <= limit:
+        raise ValueError(f"{what} is {entries} entries, more than one array can hold "
+                         f"({limit}, by numpy's size limit or physical memory)")
+
+
 def rk4_steps(t_target: float, steps_per_unit: int, head_dim: int) -> int:
     """Number of RK4 steps of a solve from factor 1 to t_target,
     max(8, ceil(steps_per_unit*(t_target-1))), checked so that the solve's
-    [steps, 4, head_dim/2] float64 drift table fits in a numpy array. The
-    count stays a float until it is known to fit, so an infinite one never
-    reaches int."""
-    limit = np.iinfo(np.intp).max // 8
-    steps = steps_per_unit * (t_target - 1.0)
-    if steps * 2 * head_dim <= limit:
-        steps = max(8, math.ceil(steps))
-    if not steps * 2 * head_dim <= limit:
-        raise ValueError(f"RK4 steps x 4 x d_head/2 (the ODE solve's drift table) is {steps * 2 * head_dim} "
-                         f"entries, more than a numpy array can hold ({limit})")
-    return steps
+    [steps, 4, head_dim/2] float64 drift table fits. The count stays a float
+    until it is checked, so an infinite one never reaches int."""
+    steps = max(8.0, steps_per_unit * (t_target - 1.0))
+    check_fits("RK4 steps x 4 x d_head/2 (the ODE solve's drift table)", steps * 2 * head_dim)
+    return math.ceil(steps)
 
 
-def solve(
-    z1,
-    t_target: float,
-    net: OdeNet,
-    form: XiForm = XiForm.LOG_DERIVATIVE,
-    steps_per_unit: int = 8,
-) -> Tensor:
+def solve(z1, t_target: float, net: OdeNet, steps_per_unit: int = 8) -> Tensor:
     """Integrate the log basis from factor 1 to t_target with fixed-step RK4
     under dz/dt = w_down . silu(w_up . z) + xi_t.
 
@@ -128,21 +114,16 @@ def solve(
     # xi at each stage's time: the step's start, its midpoint (stages k2 and
     # k3) and its end
     t0 = 1.0 + np.arange(n) * h
-    drift = xi(np.stack([t0, t0 + h / 2.0, t0 + h / 2.0, t0 + h], axis=1), net.head_dim, form)
+    drift = xi(np.stack([t0, t0 + h / 2.0, t0 + h / 2.0, t0 + h], axis=1), net.head_dim)
     return ad.rk4_solve(z, net.w_up, net.w_down, drift, h)
 
 
-def solve_basis(
-    t_target: float,
-    net: OdeNet,
-    form: XiForm = XiForm.LOG_DERIVATIVE,
-    steps_per_unit: int = 8,
-) -> FrequencyBasis:
+def solve_basis(t_target: float, net: OdeNet, steps_per_unit: int = 8) -> FrequencyBasis:
     """The stock basis default_basis(net.head_dim) solved to t_target, as a
     plain (non-graph) basis exp(z(t_target))."""
     base = default_basis(net.head_dim)
     with ad.no_grad():
-        z = solve(np.log(base.theta), t_target, net, form, steps_per_unit)
+        z = solve(np.log(base.theta), t_target, net, steps_per_unit)
         theta = np.exp(z.data.astype(np.float64))
     return FrequencyBasis(theta, base.head_dim, base.base)
 
@@ -153,33 +134,13 @@ def sample_train_factor(t_train: float, rng: np.random.Generator) -> float:
     return float(rng.uniform(1.0, t_train))
 
 
-class PlanMode(enum.Enum):
-    NATURAL = "natural"
-    UNIFORM_SCALED = "uniform"
-    RANDOM_SAMPLED = "random"
-
-
-def position_plan(train_len: int, t_prime: float, mode: PlanMode, rng_seed: int | None = None) -> np.ndarray:
-    """Assign train_len strictly increasing positions spanning up to
-    span = t_prime * train_len.
-
-    NATURAL: 1..train_len. UNIFORM_SCALED: j * span/train_len.
-    RANDOM_SAMPLED: train_len distinct integers drawn without replacement
-    from [1, floor(span)], ascending, by a generator seeded with rng_seed.
-    """
+def position_plan(train_len: int, t_prime: float, rng_seed: int) -> np.ndarray:
+    """train_len distinct integer positions drawn without replacement from
+    [1, floor(t_prime * train_len)], ascending, by a generator seeded with
+    rng_seed; t_prime = 1 gives 1..train_len."""
     span = _check_factor(t_prime) * train_len
-    if mode is PlanMode.NATURAL:
-        pos = np.arange(1, train_len + 1, dtype=np.float64)
-    elif mode is PlanMode.UNIFORM_SCALED:
-        pos = np.arange(1, train_len + 1, dtype=np.float64) * (span / train_len)
-    elif mode is PlanMode.RANDOM_SAMPLED:
-        if rng_seed is None:
-            raise ValueError("random sampling needs an rng_seed")
-        draw = np.random.default_rng(rng_seed).choice(math.floor(span), size=train_len, replace=False)
-        pos = np.sort(draw).astype(np.float64) + 1.0
-    else:
-        raise ValueError(f"unknown plan mode {mode}")
-    return pos
+    draw = np.random.default_rng(rng_seed).choice(math.floor(span), size=train_len, replace=False)
+    return np.sort(draw).astype(np.float64) + 1.0
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,6 @@ from .continuous import (
     BasisCache,
     CacheSession,
     OdeNet,
-    PlanMode,
-    XiForm,
     build_cache,
     position_plan,
     sample_train_factor,
@@ -117,10 +115,8 @@ class TrainSettings:
     eps: float = 1e-8
     grad_clip: float = 1.0
     precision: str = "float32"
-    xi_form: XiForm = XiForm.LOG_DERIVATIVE
     steps_per_unit: int = 8
     lambda_amp: int = 1
-    position_mode: PlanMode = PlanMode.RANDOM_SAMPLED
     cache_factors: tuple[float, ...] = (1.0, 2.0, 4.0, 8.0)
 
     @property
@@ -178,17 +174,12 @@ def train(cfg: ModelConfig, settings: TrainSettings, corpus: Corpus) -> TrainRes
     trace: list[StepRecord] = []
     for step in range(settings.steps):
         inputs, targets = sample_train_batch(corpus, cfg.train_len, settings.batch_size, rng)
-        t_prime = None
-        if cfg.method == "randompos":
-            seed = int(rng.integers(0, 2**63))
-            positions = position_plan(cfg.train_len, cfg.t_train, PlanMode.RANDOM_SAMPLED, seed)
-            theta = default_basis(cfg.d_head)
-        elif cfg.method == "ode":
-            t_prime = sample_train_factor(cfg.t_train, rng)
-            seed = int(rng.integers(0, 2**63))
-            positions = position_plan(cfg.train_len, t_prime, settings.position_mode, seed)
-            zt = solve(z1, t_prime, net, settings.xi_form, settings.steps_per_unit)
-            theta = ad.exp(zt)
+        t_prime = sample_train_factor(cfg.t_train, rng) if net is not None else None
+        if cfg.method in ("randompos", "ode"):
+            # positions from [1, t'*train_len] for ode, [1, t_train*train_len] for randompos
+            span = cfg.t_train if t_prime is None else t_prime
+            positions = position_plan(cfg.train_len, span, int(rng.integers(0, 2**63)))
+            theta = default_basis(cfg.d_head) if net is None else ad.exp(solve(z1, t_prime, net, settings.steps_per_unit))
         else:
             positions, theta, _, _ = method_inputs(cfg, cfg.train_len)
 
@@ -348,7 +339,7 @@ def make_cache_session(
     net = OdeNet.from_params(cfg.d_head, params["ode.w_up"], params["ode.w_down"])
 
     def solver(t: float) -> FrequencyBasis:
-        return solve_basis(t, net, settings.xi_form, settings.steps_per_unit)
+        return solve_basis(t, net, settings.steps_per_unit)
 
     cache = build_cache(solver, settings.cache_factors, cfg.train_len)
     return cache, CacheSession(cache, solver)

@@ -141,15 +141,15 @@ def reference_forward(params, cfg, tokens, positions, theta, attn_scale_mult=1.0
     return x @ w["tok_emb"].T
 
 
-def unrolled_dynamics(z, t, net, form):
+def unrolled_dynamics(z, t, net):
     """dz/dt = w_down . silu(w_up . z) + xi_t as a chain of tape ops."""
     half = net.head_dim // 2
     hidden = ad.silu(ad.matmul(ad.reshape(z, (1, half)), net.w_up))
     learned = ad.reshape(ad.matmul(hidden, net.w_down), (half,))
-    return ad.add(learned, Tensor(xi(t, net.head_dim, form).astype(z.dtype)))
+    return ad.add(learned, Tensor(xi(t, net.head_dim).astype(z.dtype)))
 
 
-def unrolled_solve(z1, t_target, net, form, steps_per_unit):
+def unrolled_solve(z1, t_target, net, steps_per_unit):
     """Fixed-step RK4 from 1 to t_target (> 1) with about 35 tape nodes per
     step, on the step rule of continuous.solve."""
     z = ad.as_tensor(z1)
@@ -157,10 +157,10 @@ def unrolled_solve(z1, t_target, net, form, steps_per_unit):
     h = (t_target - 1.0) / n
     for k in range(n):
         t0 = 1.0 + k * h
-        k1 = unrolled_dynamics(z, t0, net, form)
-        k2 = unrolled_dynamics(ad.add(z, ad.scale(k1, h / 2.0)), t0 + h / 2.0, net, form)
-        k3 = unrolled_dynamics(ad.add(z, ad.scale(k2, h / 2.0)), t0 + h / 2.0, net, form)
-        k4 = unrolled_dynamics(ad.add(z, ad.scale(k3, h)), t0 + h, net, form)
+        k1 = unrolled_dynamics(z, t0, net)
+        k2 = unrolled_dynamics(ad.add(z, ad.scale(k1, h / 2.0)), t0 + h / 2.0, net)
+        k3 = unrolled_dynamics(ad.add(z, ad.scale(k2, h / 2.0)), t0 + h / 2.0, net)
+        k4 = unrolled_dynamics(ad.add(z, ad.scale(k3, h)), t0 + h, net)
         incr = ad.add(ad.add(k1, ad.scale(ad.add(k2, k3), 2.0)), k4)
         z = ad.add(z, ad.scale(incr, h / 6.0))
     return z

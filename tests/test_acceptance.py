@@ -16,7 +16,7 @@ from helpers import max_rel_err
 from ropekit import autodiff as ad
 from ropekit.autodiff import Tensor
 from ropekit.cli import main
-from ropekit.continuous import OdeNet, XiForm, solve
+from ropekit.continuous import OdeNet, solve
 from ropekit.harness import (
     CompareEntry,
     TrainSettings,
@@ -85,7 +85,7 @@ def test_criterion_3_yarn_reduction_and_rk4_order():
             net = OdeNet(d, rng=np.random.default_rng(0))  # w_down = 0
             z1 = np.log(base.theta)
             for t in (2.0, 4.0, 8.0, 16.0):
-                solved = np.exp(solve(z1, t, net, XiForm.LOG_DERIVATIVE).data)
+                solved = np.exp(solve(z1, t, net).data)
                 closed = base.theta * alpha("yarn", t, d)
                 assert max_rel_err(solved, closed) < 1e-6, (d, t)
         # halving the step size must shrink the error like a 4th order method
@@ -95,7 +95,7 @@ def test_criterion_3_yarn_reduction_and_rk4_order():
         exact = np.log(base.theta) + np.log(alpha("yarn", t, d))
         errs = [
             float(np.max(np.abs(solve(np.log(base.theta), t, net,
-                                      XiForm.LOG_DERIVATIVE, spu).data - exact)))
+                                      steps_per_unit=spu).data - exact)))
             for spu in (4, 8)
         ]
         assert errs[1] > 0
@@ -125,7 +125,7 @@ def test_criterion_4_end_to_end_gradient_suite():
             net = OdeNet(cfg.d_head, dtype=np.float64)
             net.w_up = arrays["ode.w_up"]
             net.w_down = arrays["ode.w_down"]
-            theta = ad.exp(solve(z1, t_prime, net, XiForm.LOG_DERIVATIVE, steps_per_unit=2))
+            theta = ad.exp(solve(z1, t_prime, net, steps_per_unit=2))
             logits = forward(arrays, cfg, tokens, positions, theta, 1.1)
             return ad.softmax_cross_entropy(logits, targets)
 

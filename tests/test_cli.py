@@ -154,6 +154,23 @@ def test_bad_config_value_exits_2_before_corpus_load(tmp_path, capsys, doc, mess
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("key, value", [("xi_form", "log_derivative"), ("position_mode", "random")])
+@pytest.mark.parametrize("where", ["file", "set"])
+def test_removed_config_key_exits_2_before_corpus_load(tmp_path, capsys, key, value, where):
+    # the drift and the training positions have one form each, so a config
+    # snapshot that still names a variant is rejected like any unknown key
+    doc = {"corpus": str(tmp_path / "absent.bin")}
+    argv = ["train", "-o", str(tmp_path / "runs")]
+    if where == "file":
+        doc[key] = value
+    else:
+        argv += ["--set", f"{key}={value}"]
+    assert main([*argv, "-c", str(write_config(tmp_path, doc))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown config key") and repr(key) in err
+    assert not (tmp_path / "runs").exists()
+
+
 # JSON values by kind, and the kinds that each default's type admits; a key's
 # type is the type of its DEFAULTS entry (a list's, that of its first entry)
 _JSON_VALUES = {
@@ -320,7 +337,7 @@ def test_eval_writes_report(tmp_path, corpus_file, capsys):
     assert lines[0] == "method,train_len,eval_len,eval_t,attn_scale_mult,ppl,acc"
     assert len(lines) == 3  # header + 2 eval lengths
     doc = json.loads((run_dir / "report.json").read_text())
-    assert set(doc["meta"]) == {"seed", "commit", "config_hash", "xi_form"}
+    assert set(doc["meta"]) == {"seed", "commit", "config_hash"}
     assert len(doc["rows"]) == 2
     table = capsys.readouterr().out
     for piece in lines[1].split(","):
@@ -336,8 +353,6 @@ def test_eval_default_grid_has_four_rows(tmp_path, corpus_file):
     (run_dir,) = run_dirs(out)
     lines = (run_dir / "report.csv").read_text().strip().split("\n")
     assert len(lines) == 1 + 4
-    doc = json.loads((run_dir / "report.json").read_text())
-    assert doc["meta"]["xi_form"] == "log_derivative"
 
 
 def test_train_reproducible_from_resolved_snapshot(tmp_path, corpus_file):
@@ -556,12 +571,14 @@ def test_basis_odd_dim_exits_2(tmp_path, capsys):
     ["-d", "8", "--methods", "ode", "--t", "inf"],
     ["-d", "8", "--methods", "ode", "--t", "1.7e308"],
     ["-d", "8", "--methods", "yarn", "--t", "nan"],
-    ["-d", "8", "--methods", "ode", "--xi-form", "bogus"],
     ["-d", "8", "-o", "{tmp}/absent/basis.csv"],
     ["-d", "8", "-o", "{tmp}"],
+    ["-d", "1000000000000", "--methods", "pi", "--t", "2"],
+    ["-d", "8", "--methods", "ode", "--t", "2", "--steps-per-unit", "100000000000"],
+    ["-d", "1000000", "--methods", "ode", "--t", "2"],
 ], ids=["missing_checkpoint", "missing_checkpoint_without_ode", "t_not_a_number", "ode_t_below_1",
-        "ode_head_dim_2", "ode_t_inf", "t_overflows_steps", "yarn_t_nan", "xi_form_unknown", "missing_out_dir",
-        "out_is_a_directory"])
+        "ode_head_dim_2", "ode_t_inf", "t_overflows_steps", "yarn_t_nan", "missing_out_dir",
+        "out_is_a_directory", "basis_beyond_memory", "drift_table_beyond_memory", "ode_net_beyond_memory"])
 def test_basis_bad_input_exits_2(tmp_path, capsys, argv):
     assert main(["basis", *(a.format(tmp=tmp_path) for a in argv)]) == 2
     err = capsys.readouterr().err

@@ -14,8 +14,6 @@ from ropekit.continuous import (
     BasisCache,
     CacheSession,
     OdeNet,
-    PlanMode,
-    XiForm,
     build_cache,
     cache_to_json,
     position_plan,
@@ -38,22 +36,13 @@ def _zero_net(d, lambda_amp=1):
 
 
 def test_xi_first_entry_zero_both_forms():
-    for form in XiForm:
-        assert xi(3.0, 8, form)[0] == 0.0
+    # a scalar factor and an array of factors
+    assert xi(3.0, 8)[0] == 0.0
+    assert np.all(xi(np.array([[1.0, 3.0], [8.0, 16.0]]), 8)[..., 0] == 0.0)
 
 
 def test_xi_log_derivative_d4():
-    assert np.array_equal(xi(2.0, 4, XiForm.LOG_DERIVATIVE), [0.0, -0.5])
-
-
-def test_xi_paper_printed_d4():
-    assert np.array_equal(xi(2.0, 4, XiForm.PAPER_PRINTED), [0.0, -0.25])
-
-
-def test_xi_forms_agree_at_t1():
-    assert np.allclose(
-        xi(1.0, 16, XiForm.LOG_DERIVATIVE), xi(1.0, 16, XiForm.PAPER_PRINTED), rtol=1e-15
-    )
+    assert np.array_equal(xi(2.0, 4), [0.0, -0.5])
 
 
 def test_xi_rejects_bad_inputs():
@@ -67,11 +56,11 @@ def test_xi_takes_an_array_of_factors():
     # an [n, 4] array of factors, as solve builds its drift table, gives the
     # scalar calls stacked, bit for bit; one bad factor fails the whole call
     t = np.array([[1.0, 1.3, 1.3, 2.0], [2.0, 3.7, 3.7, 8.0], [8.0, 16.0, 16.0, 33.3]])
-    for form, d in itertools.product(XiForm, (4, 16, 64)):
-        stacked = np.array([[xi(s, d, form) for s in row] for row in t.tolist()])
-        got = xi(t, d, form)
+    for d in (4, 16, 64):
+        stacked = np.array([[xi(s, d) for s in row] for row in t.tolist()])
+        got = xi(t, d)
         assert got.shape == (3, 4, d // 2) and np.array_equal(got, stacked)
-        assert xi(2.0, d, form).shape == (d // 2,)
+        assert xi(2.0, d).shape == (d // 2,)
     for bad in (0.5, np.inf, np.nan):
         with pytest.raises(ValueError, match=f"scale factor must be finite and >= 1, got {bad}"):
             xi(np.array([[1.0, 2.0, bad, 3.0]]), 16)
@@ -83,13 +72,7 @@ def test_xi_log_derivative_is_derivative_of_log_profile():
     # finite-difference the closed-form profile in t
     d, t, h = 16, 3.0, 1e-6
     fd = (np.log(alpha("yarn", t + h, d)) - np.log(alpha("yarn", t - h, d))) / (2 * h)
-    assert max_rel_err(xi(t, d, XiForm.LOG_DERIVATIVE), fd, floor=1e-9) < 1e-8
-
-
-def test_xi_paper_printed_is_derivative_of_profile():
-    d, t, h = 16, 3.0, 1e-6
-    fd = (alpha("yarn", t + h, d) - alpha("yarn", t - h, d)) / (2 * h)
-    assert max_rel_err(xi(t, d, XiForm.PAPER_PRINTED), fd, floor=1e-9) < 1e-8
+    assert max_rel_err(xi(t, d), fd, floor=1e-9) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +126,7 @@ def test_dynamics_matches_direct_formula():
     def f(z, t):
         h = z @ net.w_up.data
         h = h / (1.0 + np.exp(-h))
-        return h @ net.w_down.data + xi(t, 8, XiForm.PAPER_PRINTED)
+        return h @ net.w_down.data + xi(t, 8)
 
     h = (t - 1.0) / n
     expected = z
@@ -154,7 +137,7 @@ def test_dynamics_matches_direct_formula():
         k3 = f(expected + h / 2 * k2, t0 + h / 2)
         k4 = f(expected + h * k3, t0 + h)
         expected = expected + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-    out = solve(z, t, net, XiForm.PAPER_PRINTED, steps_per_unit=1)
+    out = solve(z, t, net, steps_per_unit=1)
     assert max_rel_err(out.data, expected, floor=1e-12) < 1e-10
 
 
@@ -198,7 +181,7 @@ def test_solve_zero_net_reduces_to_geometric_profile():
         base = default_basis(d)
         net = _zero_net(d)
         for t in (2.0, 4.0):
-            solved = solve_basis(t, net, XiForm.LOG_DERIVATIVE)
+            solved = solve_basis(t, net)
             expected = scale_basis(base, alpha("yarn", t, d))
             assert max_rel_err(solved.theta, expected.theta) < 1e-6
 
@@ -210,7 +193,7 @@ def test_solve_rk4_order_from_step_halving():
     exact = np.log(base.theta) + np.log(alpha("yarn", t, d))
     err = []
     for spu in (4, 8):
-        z = solve(np.log(base.theta), t, net, XiForm.LOG_DERIVATIVE, steps_per_unit=spu)
+        z = solve(np.log(base.theta), t, net, steps_per_unit=spu)
         err.append(np.max(np.abs(z.data - exact)))
     assert err[1] > 0
     assert err[0] / err[1] >= 12.0  # RK4: ratio near 16
@@ -302,7 +285,7 @@ def test_solve_gradients_match_finite_differences():
         assert err < 1e-4, f"{name}: {err}"
 
 
-def _solve_and_grads(fn, dtype, form, spu, t):
+def _solve_and_grads(fn, dtype, spu, t):
     r = np.random.default_rng(5)
     d = 16
     net = OdeNet(d, 2, dtype=dtype)
@@ -310,7 +293,7 @@ def _solve_and_grads(fn, dtype, form, spu, t):
     net.w_down = Tensor(r.normal(scale=0.3, size=net.w_down.shape).astype(dtype), requires_grad=True)
     z1 = Tensor(np.log(default_basis(d).theta).astype(dtype), requires_grad=True)
     weights = r.normal(size=d // 2).astype(dtype)
-    out = fn(z1, t, net, form, spu)
+    out = fn(z1, t, net, spu)
     ad.backward(weighted_sum(out, weights))
     return out.data, z1.grad, net.w_up.grad, net.w_down.grad
 
@@ -319,12 +302,12 @@ def _solve_and_grads(fn, dtype, form, spu, t):
 def test_solve_matches_unrolled_reference_bitwise(dtype):
     # the one-node solve and its discrete adjoint against RK4 unrolled into
     # elementary tape ops: output and all three gradients, bit for bit
-    for form, spu, t in itertools.product(XiForm, (1, 2, 8), (1.05, 3.3, 7.77, 16.0)):
-        fused = _solve_and_grads(solve, dtype, form, spu, t)
-        unrolled = _solve_and_grads(unrolled_solve, dtype, form, spu, t)
+    for spu, t in itertools.product((1, 2, 8), (1.05, 3.3, 7.77, 16.0)):
+        fused = _solve_and_grads(solve, dtype, spu, t)
+        unrolled = _solve_and_grads(unrolled_solve, dtype, spu, t)
         for name, a, b in zip(("output", "z1", "w_up", "w_down"), fused, unrolled):
             assert a.dtype == dtype
-            assert np.array_equal(a, b), f"{name} differs at {form}, spu {spu}, t {t}"
+            assert np.array_equal(a, b), f"{name} differs at spu {spu}, t {t}"
 
 
 def test_solve_is_one_tape_node():
@@ -367,22 +350,8 @@ def test_sample_factor_reproducible():
 # position plans
 
 
-def test_plan_natural():
-    assert np.array_equal(position_plan(8, 1.0, PlanMode.NATURAL), np.arange(1.0, 9.0))
-
-
-def test_plan_uniform_example():
-    assert np.array_equal(position_plan(4, 2.0, PlanMode.UNIFORM_SCALED), [2.0, 4.0, 6.0, 8.0])
-
-
-def test_plan_uniform_degenerate_matches_natural():
-    a = position_plan(8, 1.0, PlanMode.NATURAL)
-    b = position_plan(8, 1.0, PlanMode.UNIFORM_SCALED)
-    assert np.array_equal(a, b)
-
-
 def test_plan_random_degenerate_is_natural():
-    plan = position_plan(16, 1.0, PlanMode.RANDOM_SAMPLED, 0)
+    plan = position_plan(16, 1.0, 0)
     assert np.array_equal(plan, np.arange(1.0, 17.0))
 
 
@@ -391,37 +360,31 @@ def test_plan_random_degenerate_is_natural():
     st.integers(1, 2**31 - 1),
     st.integers(2, 64),
     st.floats(1.0, 16.0),
-    st.sampled_from(list(PlanMode)),
 )
-def test_plan_properties_all_modes(seed, train_len, t_prime, mode):
-    pos = position_plan(train_len, t_prime, mode, seed)
+def test_plan_properties_all_modes(seed, train_len, t_prime):
+    pos = position_plan(train_len, t_prime, seed)
     assert pos.shape == (train_len,)
     assert np.all(np.diff(pos) > 0)  # strictly increasing => distinct
     assert pos[0] >= 1.0
     assert pos[-1] <= t_prime * train_len + 1e-9
-    if mode is PlanMode.RANDOM_SAMPLED:
-        assert np.array_equal(pos, np.round(pos))  # integers
-    if mode is PlanMode.NATURAL:
-        assert np.array_equal(pos, np.arange(1.0, train_len + 1.0))
+    assert np.array_equal(pos, np.round(pos))  # integers
 
 
 def test_plan_seed_reproducible():
-    a = position_plan(8, 4.0, PlanMode.RANDOM_SAMPLED, 77)
-    b = position_plan(8, 4.0, PlanMode.RANDOM_SAMPLED, 77)
+    a = position_plan(8, 4.0, 77)
+    b = position_plan(8, 4.0, 77)
     assert np.array_equal(a, b)
     # the draw is 8 distinct integers in [0, 32) from a generator seeded 77
     draw = np.random.default_rng(77).choice(32, size=8, replace=False)
     assert np.array_equal(a, np.sort(draw) + 1.0)
-    with pytest.raises(ValueError, match="rng_seed"):
-        position_plan(8, 4.0, PlanMode.RANDOM_SAMPLED)
 
 
 # ---------------------------------------------------------------------------
 # basis cache
 
 
-def _solver(net, form=XiForm.LOG_DERIVATIVE):
-    return lambda t: solve_basis(t, net, form)
+def _solver(net):
+    return lambda t: solve_basis(t, net)
 
 
 def test_solve_basis_starts_from_the_stock_basis():
@@ -444,7 +407,7 @@ def test_cache_entries_match_fresh_solves():
     cache = build_cache(_solver(net), [1.0, 2.0, 3.0, 4.0], 128)
     assert cache.factors == (1.0, 2.0, 3.0, 4.0)
     for t, cached in zip(cache.factors, cache.bases):
-        fresh = solve_basis(t, net, XiForm.LOG_DERIVATIVE)
+        fresh = solve_basis(t, net)
         assert np.array_equal(cached.theta, fresh.theta)
 
 

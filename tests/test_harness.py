@@ -11,7 +11,7 @@ from helpers import reference_demo_corpus_bytes
 from ropekit import autodiff as ad
 from ropekit import checkpoint
 from ropekit.checkpoint import load_checkpoint, save_checkpoint
-from ropekit.continuous import PlanMode, position_plan, solve
+from ropekit.continuous import position_plan, solve
 from ropekit.harness import (
     CSV_HEADER,
     CompareEntry,
@@ -161,7 +161,7 @@ def test_ode_with_unit_factor_degenerates_to_plain_rotary(text_corpus):
     cfg = tiny_cfg(method="ode", t_train=1.0, seed=2)
     result = train(cfg, tiny_settings(), text_corpus)
     assert all(r.t_prime == 1.0 for r in result.trace)
-    plan = position_plan(32, 1.0, PlanMode.RANDOM_SAMPLED, 0)
+    plan = position_plan(32, 1.0, 0)
     assert np.array_equal(plan, np.arange(1.0, 33.0))
     net = OdeNet(cfg.d_head, rng=np.random.default_rng(0))
     z = np.log(default_basis(cfg.d_head).theta)
