@@ -191,20 +191,6 @@ def add(a, b) -> Tensor:
     return out
 
 
-def scale(x, s: float) -> Tensor:
-    """Multiply by a python scalar."""
-    x = as_tensor(x)
-    s = float(s)
-    out = _node(x.data * x.data.dtype.type(s), (x,))
-    if out.requires_grad:
-
-        def bw(g):
-            _accum(x, g * x.data.dtype.type(s))
-
-        out._backward = bw
-    return out
-
-
 def exp(x) -> Tensor:
     x = as_tensor(x)
     data = np.exp(x.data)
@@ -517,7 +503,9 @@ def rk4_solve(z, w_up, w_down, drift, h: float) -> Tensor:
     the final state; differentiable in z, w_up and w_down.
 
     The forward makes the float operations of RK4 written as one tape op per
-    operation (ad.matmul, ad.silu, ad.add, ad.scale), in their order: each
+    operation (ad.matmul, ad.silu, ad.add and a multiply by a python scalar
+    s as x * dtype(s), the unrolled solve of tests/helpers.py), in their
+    order: each
     stage input is a [1, d] row, and a step ends with
     z + ((k1 + (k2 + k3) * 2) + k4) * h/6. A recorded call keeps each stage's
     input, pre-activation, sigmoid and hidden row. Its backward is the

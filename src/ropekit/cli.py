@@ -176,15 +176,13 @@ def split_config(cfg: dict) -> tuple[ModelConfig, TrainSettings]:
     if not all(n >= 2 for n in shared["eval_lens"]):
         raise ValueError(f"eval_lens must all be >= 2, got {shared['eval_lens']}")
     m, batch = model_cfg, settings.batch_size
-    limit = np.iinfo(np.intp).max // np.dtype(settings.dtype).itemsize
     for shape, size in (
         ("vocab x d_model (the embedding table)", m.vocab * m.d_model),
         ("d_model x 4 d_model (an MLP weight)", 4 * m.d_model**2),
         ("batch_size x train_len x vocab (a step's logits)", batch * m.train_len * m.vocab),
         ("batch_size x n_heads x train_len^2 (a step's attention weights)", batch * m.n_heads * m.train_len**2),
     ):
-        if size > limit:
-            raise ValueError(f"{shape} is {size} entries, more than a numpy array can hold ({limit})")
+        check_fits(shape, size)
     if m.method == "ode":
         # continuous.solve's drift table at the largest factor the config solves at
         t_max = max(m.t_train, settings.cache_factors[-1], max(shared["eval_lens"]) / m.train_len)

@@ -1,7 +1,7 @@
 """Continuous basis scaling: learnable dynamics over the log frequency
 basis, a fixed-step RK4 solver that is one tape node whose gradients come
-from the discrete adjoint, training-time factor and position sampling, and
-the inference-time basis cache."""
+from the discrete adjoint, training-time position sampling, and the
+inference-time basis cache."""
 
 from __future__ import annotations
 
@@ -126,12 +126,6 @@ def solve_basis(t_target: float, net: OdeNet, steps_per_unit: int = 8) -> Freque
         z = solve(np.log(base.theta), t_target, net, steps_per_unit)
         theta = np.exp(z.data.astype(np.float64))
     return FrequencyBasis(theta, base.head_dim, base.base)
-
-
-def sample_train_factor(t_train: float, rng: np.random.Generator) -> float:
-    """Draw t' uniformly from the continuous interval [1, t_train]."""
-    t_train = _check_factor(t_train)
-    return float(rng.uniform(1.0, t_train))
 
 
 def position_plan(train_len: int, t_prime: float, rng_seed: int) -> np.ndarray:

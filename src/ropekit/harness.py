@@ -1,8 +1,8 @@
 """Training and evaluation harness: byte corpus handling, each method's
 positions, basis and attention multiplier at a given length (the one rule
-training and evaluation share), the training loop, and length-grouped
-perplexity/accuracy evaluation with baseline self-extension and the log
-attention-scaling trick."""
+training, its random draws included, and evaluation share), the training
+loop, and length-grouped perplexity/accuracy evaluation with baseline
+self-extension and the log attention-scaling trick."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ import math
 import sys
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, field, fields
+from typing import Callable
 
 import numpy as np
 
@@ -22,7 +23,6 @@ from .continuous import (
     OdeNet,
     build_cache,
     position_plan,
-    sample_train_factor,
     solve,
     solve_basis,
 )
@@ -161,12 +161,14 @@ def train(cfg: ModelConfig, settings: TrainSettings, corpus: Corpus) -> TrainRes
     rng = np.random.default_rng(cfg.seed)
     params = init_params(cfg, dtype=dtype, rng=rng)
 
-    net = None
-    z1 = None
+    solver = None
     if cfg.method == "ode":
         net = OdeNet(cfg.d_head, settings.lambda_amp, dtype=dtype, rng=rng)
         params.update(net.params())
         z1 = np.log(default_basis(cfg.d_head).theta).astype(dtype)
+
+        def solver(t: float) -> Tensor:
+            return ad.exp(solve(z1, t, net, settings.steps_per_unit))
 
     opt = Adam(params, settings.lr, settings.beta1, settings.beta2, settings.eps,
                grad_clip=settings.grad_clip)
@@ -174,16 +176,8 @@ def train(cfg: ModelConfig, settings: TrainSettings, corpus: Corpus) -> TrainRes
     trace: list[StepRecord] = []
     for step in range(settings.steps):
         inputs, targets = sample_train_batch(corpus, cfg.train_len, settings.batch_size, rng)
-        t_prime = sample_train_factor(cfg.t_train, rng) if net is not None else None
-        if cfg.method in ("randompos", "ode"):
-            # positions from [1, t'*train_len] for ode, [1, t_train*train_len] for randompos
-            span = cfg.t_train if t_prime is None else t_prime
-            positions = position_plan(cfg.train_len, span, int(rng.integers(0, 2**63)))
-            theta = default_basis(cfg.d_head) if net is None else ad.exp(solve(z1, t_prime, net, settings.steps_per_unit))
-        else:
-            positions, theta, _, _ = method_inputs(cfg, cfg.train_len)
-
-        logits = forward(params, cfg, inputs, positions, theta, 1.0)
+        positions, theta, t_prime, mult = method_inputs(cfg, cfg.train_len, rng=rng, solver=solver)
+        logits = forward(params, cfg, inputs, positions, theta, mult)
         loss = ad.softmax_cross_entropy(logits, targets)
         loss_val = loss.item()
         if not math.isfinite(loss_val):
@@ -220,11 +214,12 @@ def self_extension_factor(t_fixed: float, base_len: int, eval_len: int) -> float
 
 
 def method_inputs(
-    cfg: ModelConfig, length: int, session: CacheSession | None = None
-) -> tuple[np.ndarray, FrequencyBasis, float, float]:
+    cfg: ModelConfig, length: int, session: CacheSession | None = None,
+    rng: np.random.Generator | None = None, solver: Callable[[float], Tensor] | None = None,
+) -> tuple[np.ndarray, FrequencyBasis | Tensor, float | None, float]:
     """(positions, basis, t, attn_mult) that cfg.method feeds the model at a
-    sequence length: the one rule that training (at cfg.train_len, for the
-    methods that draw no random inputs) and evaluation share.
+    sequence length: the one rule of every method, in training and in
+    evaluation.
 
     rope and randompos use natural positions and the stock basis. pi and
     yarn self-extend their factor past t_fixed*train_len: pi divides the
@@ -232,23 +227,35 @@ def method_inputs(
     the basis by its geometric profile. codellama's profile does not depend
     on t. ode looks its basis up in the session's cache. All of them scale
     attention scores by log_scale_mult(train_len, length), 1 at train_len.
+
+    A training step passes the run's generator as rng, at cfg.train_len:
+    randompos draws positions from [1, t_train*train_len]; ode draws t' from
+    U[1, t_train], then positions from [1, t'*train_len], and takes its graph
+    basis from solver(t'). t is then the drawn t', None for the methods that
+    draw none, which feed their evaluation inputs.
     """
     positions = np.arange(1, length + 1, dtype=np.float64)
     mult = log_scale_mult(cfg.train_len, length)
     if cfg.method == "ode":
-        t, basis = session.lookup(length)
-        return positions, basis, t, mult
-    basis = default_basis(cfg.d_head)
-    if cfg.method in ("rope", "randompos"):
-        return positions, basis, 1.0, mult
+        if rng is None:
+            t, basis = session.lookup(length)
+            return positions, basis, t, mult
+        t = float(rng.uniform(1.0, cfg.t_train))
+        return position_plan(length, t, int(rng.integers(0, 2**63))), solver(t), t, mult
+    if cfg.method == "randompos" and rng is not None:
+        positions = position_plan(length, cfg.t_train, int(rng.integers(0, 2**63)))
+    basis, t = default_basis(cfg.d_head), 1.0
     if cfg.method == "codellama":
-        return positions, scale_basis(basis, alpha("codellama", 1.0, cfg.d_head)), 1.0, mult
-    t = self_extension_factor(cfg.t_fixed, cfg.train_len, length)
-    if cfg.method == "pi":
-        return positions / t, basis, t, mult
-    if cfg.method == "yarn":
-        return positions, scale_basis(basis, alpha("yarn", t, cfg.d_head)), t, mult
-    raise ValueError(f"unknown method {cfg.method!r}")
+        basis = scale_basis(basis, alpha("codellama", 1.0, cfg.d_head))
+    elif cfg.method in ("pi", "yarn"):
+        t = self_extension_factor(cfg.t_fixed, cfg.train_len, length)
+        if cfg.method == "pi":
+            positions = positions / t
+        else:
+            basis = scale_basis(basis, alpha("yarn", t, cfg.d_head))
+    elif cfg.method not in ("rope", "randompos"):
+        raise ValueError(f"unknown method {cfg.method!r}")
+    return positions, basis, t if rng is None else None, mult
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,8 @@ demo corpus drawn with one Generator.choice call per pick.
 Everything here except the unrolled solve and the weighted-sum loss is
 deliberately independent of the library's autodiff path: plain numpy,
 explicit loops, no tape. The unrolled solve is built from ad.matmul,
-ad.silu, ad.add and ad.scale, one node per operation, so its gradients come
-from backpropagation through every stage."""
+ad.silu, ad.add and the test-only tape op scale, one node per operation, so
+its gradients come from backpropagation through every stage."""
 
 from __future__ import annotations
 
@@ -141,6 +141,21 @@ def reference_forward(params, cfg, tokens, positions, theta, attn_scale_mult=1.0
     return x @ w["tok_emb"].T
 
 
+def scale(x, s: float) -> Tensor:
+    """Multiply by a python scalar, as x * dtype(s): a tape op that only the
+    tests use."""
+    x = ad.as_tensor(x)
+    s = float(s)
+    out = ad._node(x.data * x.data.dtype.type(s), (x,))
+    if out.requires_grad:
+
+        def bw(g):
+            ad._accum(x, g * x.data.dtype.type(s))
+
+        out._backward = bw
+    return out
+
+
 def unrolled_dynamics(z, t, net):
     """dz/dt = w_down . silu(w_up . z) + xi_t as a chain of tape ops."""
     half = net.head_dim // 2
@@ -158,11 +173,11 @@ def unrolled_solve(z1, t_target, net, steps_per_unit):
     for k in range(n):
         t0 = 1.0 + k * h
         k1 = unrolled_dynamics(z, t0, net)
-        k2 = unrolled_dynamics(ad.add(z, ad.scale(k1, h / 2.0)), t0 + h / 2.0, net)
-        k3 = unrolled_dynamics(ad.add(z, ad.scale(k2, h / 2.0)), t0 + h / 2.0, net)
-        k4 = unrolled_dynamics(ad.add(z, ad.scale(k3, h)), t0 + h, net)
-        incr = ad.add(ad.add(k1, ad.scale(ad.add(k2, k3), 2.0)), k4)
-        z = ad.add(z, ad.scale(incr, h / 6.0))
+        k2 = unrolled_dynamics(ad.add(z, scale(k1, h / 2.0)), t0 + h / 2.0, net)
+        k3 = unrolled_dynamics(ad.add(z, scale(k2, h / 2.0)), t0 + h / 2.0, net)
+        k4 = unrolled_dynamics(ad.add(z, scale(k3, h)), t0 + h, net)
+        incr = ad.add(ad.add(k1, scale(ad.add(k2, k3), 2.0)), k4)
+        z = ad.add(z, scale(incr, h / 6.0))
     return z
 
 

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from helpers import grad_check, max_rel_err, numerical_grad, weighted_sum
+from helpers import grad_check, max_rel_err, numerical_grad, scale, weighted_sum
 
 from ropekit import autodiff as ad
 from ropekit.autodiff import Tensor
@@ -153,8 +153,8 @@ _ODE_DRIFT = _R3.normal(size=(4, 4, 3))
 UNARY_CASES = [
     ("exp", lambda x: ad.exp(x), _A34),
     ("silu", lambda x: ad.silu(x), _A34),
-    ("scale", lambda x: ad.scale(x, -2.5), _A34),
-    ("neg", lambda x: ad.scale(x, -1.0), _A34),
+    ("scale", lambda x: scale(x, -2.5), _A34),
+    ("neg", lambda x: scale(x, -1.0), _A34),
     ("add_const", lambda x: ad.add(x, Tensor(_A34)), _A34),
     ("matmul_left", lambda x: ad.matmul(x, Tensor(_B42)), _A34),
     ("matmul_right", lambda x: ad.matmul(Tensor(_B23), x), _A34),
@@ -317,7 +317,7 @@ def test_cross_entropy_gradient():
 
 def test_backward_linear():
     x = Tensor([2.0], requires_grad=True)
-    ad.backward(weighted_sum(ad.scale(x, 3.0), np.ones(1)))
+    ad.backward(weighted_sum(scale(x, 3.0), np.ones(1)))
     assert x.grad[0] == 3.0
 
 
@@ -357,7 +357,7 @@ def test_backward_deep_chain():
     x = Tensor([1.0], requires_grad=True)
     y = x
     for _ in range(3000):
-        y = ad.scale(y, 1.0)
+        y = scale(y, 1.0)
     ad.backward(weighted_sum(y, np.ones(1)))
     assert x.grad[0] == 1.0
 

@@ -26,6 +26,14 @@ def corpus_file(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def short_corpus_file(tmp_path_factory):
+    # a training split of 180 bytes, shorter than the 257 a train_len of 256 needs
+    path = tmp_path_factory.mktemp("data") / "short.txt"
+    write_demo_corpus(path, 200, seed=0)
+    return path
+
+
 def tiny_config(corpus_file, **kw):
     cfg = {
         "corpus": str(corpus_file),
@@ -154,6 +162,16 @@ def test_bad_config_value_exits_2_before_corpus_load(tmp_path, capsys, doc, mess
     assert not (tmp_path / "runs").exists()
 
 
+def test_model_too_big_for_memory_exits_2_before_corpus_load(tmp_path, capsys):
+    # 2**44 entries are under numpy's size limit but more than any machine's
+    # memory holds, so the size check rejects them before the corpus loads
+    cfg = write_config(tmp_path, {"corpus": str(tmp_path / "absent.bin"), "vocab": 2**40, "d_model": 16})
+    assert main(["train", "-c", str(cfg), "-o", str(tmp_path / "runs")]) == 2
+    err = capsys.readouterr().err
+    assert "error: vocab x d_model" in err and "Traceback" not in err
+    assert not (tmp_path / "runs").exists()
+
+
 @pytest.mark.parametrize("key, value", [("xi_form", "log_derivative"), ("position_mode", "random")])
 @pytest.mark.parametrize("where", ["file", "set"])
 def test_removed_config_key_exits_2_before_corpus_load(tmp_path, capsys, key, value, where):
@@ -210,8 +228,8 @@ def test_wrong_json_type_exits_2_before_corpus_load(key, data):
         assert not (tmp / "runs").exists()
 
 
-def test_train_corpus_shorter_than_train_len_exits_2(tmp_path, capsys, corpus_file):
-    cfg = write_config(tmp_path, tiny_config(corpus_file, train_len=100_000))
+def test_train_corpus_shorter_than_train_len_exits_2(tmp_path, capsys, short_corpus_file):
+    cfg = write_config(tmp_path, tiny_config(short_corpus_file, train_len=256))
     assert main(["train", "-c", str(cfg), "-o", str(tmp_path / "runs")]) == 2
     assert "error: training split too short" in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
@@ -226,12 +244,12 @@ def test_eval_validation_split_shorter_than_eval_len_exits_2(tmp_path, capsys, c
     assert not (tmp_path / "runs").exists()
 
 
-@pytest.mark.parametrize("key, value, message", [
-    ("train_len", 100_000, "training split too short"),
-    ("eval_lens", [32, 8192], "validation split too short"),
+@pytest.mark.parametrize("corpus, key, value, message", [
+    ("short_corpus_file", "train_len", 256, "training split too short"),
+    ("corpus_file", "eval_lens", [32, 8192], "validation split too short"),
 ], ids=["train_len", "eval_len"])
-def test_compare_corpus_too_short_exits_2_before_training(tmp_path, capsys, corpus_file, key, value, message):
-    doc = tiny_config(corpus_file, **{key: value})
+def test_compare_corpus_too_short_exits_2_before_training(tmp_path, capsys, request, corpus, key, value, message):
+    doc = tiny_config(request.getfixturevalue(corpus), **{key: value})
     doc["runs"] = [{"method": "rope"}, {"method": "pi", "t_fixed": 2.0}]
     cfg = write_config(tmp_path, doc)
     assert main(["compare", "-c", str(cfg), "-o", str(tmp_path / "x")]) == 2

@@ -18,11 +18,12 @@ from ropekit.continuous import (
     cache_to_json,
     position_plan,
     rk4_steps,
-    sample_train_factor,
     solve,
     solve_basis,
     xi,
 )
+from ropekit.harness import method_inputs
+from ropekit.model import ModelConfig
 from ropekit.rotary import alpha, default_basis, scale_basis
 
 
@@ -325,25 +326,35 @@ def test_solve_is_one_tape_node():
 
 
 # ---------------------------------------------------------------------------
-# factor sampling
+# factor sampling: the t' that ode's training rule draws
+
+
+def _train_draws(t_train, rng, n):
+    """(positions, basis, t) of n training steps' draws by ode's rule, with a
+    solver that hands back the factor it is asked for as the basis."""
+    cfg = ModelConfig(vocab=256, n_layers=1, n_heads=1, d_model=4, train_len=2,
+                      method="ode", t_train=t_train).validate()
+    return [method_inputs(cfg, cfg.train_len, rng=rng, solver=lambda t: t)[:3] for _ in range(n)]
 
 
 def test_sample_factor_degenerate():
-    rng = np.random.default_rng(0)
-    assert all(sample_train_factor(1.0, rng) == 1.0 for _ in range(5))
+    draws = _train_draws(1.0, np.random.default_rng(0), 5)
+    assert all(t == 1.0 and basis == 1.0 and np.array_equal(pos, [1.0, 2.0]) for pos, basis, t in draws)
 
 
 def test_sample_factor_uniform_statistics():
-    rng = np.random.default_rng(123)
-    draws = np.array([sample_train_factor(16.0, rng) for _ in range(100_000)])
-    assert abs(draws.mean() - 8.5) < 0.1
-    assert draws.min() >= 1.0 and draws.max() <= 16.0
+    draws = _train_draws(16.0, np.random.default_rng(123), 100_000)
+    factors = np.array([t for _, _, t in draws])
+    assert abs(factors.mean() - 8.5) < 0.1
+    assert factors.min() >= 1.0 and factors.max() <= 16.0
+    assert all(basis == t for _, basis, t in draws)
 
 
 def test_sample_factor_reproducible():
-    a = [sample_train_factor(8.0, np.random.default_rng(9)) for _ in range(5)]
-    b = [sample_train_factor(8.0, np.random.default_rng(9)) for _ in range(5)]
-    assert a == b
+    a = _train_draws(8.0, np.random.default_rng(9), 5)
+    b = _train_draws(8.0, np.random.default_rng(9), 5)
+    assert [t for _, _, t in a] == [t for _, _, t in b]
+    assert all(np.array_equal(pa, pb) for (pa, _, _), (pb, _, _) in zip(a, b))
 
 
 # ---------------------------------------------------------------------------

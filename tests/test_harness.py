@@ -303,20 +303,25 @@ def test_method_inputs_returns_the_attention_multiplier(text_corpus, method):
     assert [r.attn_scale_mult for r in report.rows] == mults
 
 
-@pytest.mark.parametrize("method", ["rope", "pi", "yarn", "codellama"])
+@pytest.mark.parametrize("method", METHODS)
 def test_train_feeds_forward_what_evaluate_feeds_at_train_len(text_corpus, monkeypatch, method):
+    # randompos and ode train at t_train 1, where their drawn positions are
+    # 1..train_len and ode's solved basis is the stock one. ode runs in
+    # float64: in float32, training exponentiates its basis in float32 and
+    # the cache in float64, which can differ in the last place.
     import ropekit.harness as hmod
 
     real = hmod.forward
     calls = []
 
     def recording(params, cfg, tokens, positions, basis, attn_scale_mult=1.0):
-        calls.append((np.array(positions), np.array(basis.theta)))
+        theta = basis.data if isinstance(basis, ad.Tensor) else basis.theta
+        calls.append((np.array(positions), np.array(theta, dtype=np.float64)))
         return real(params, cfg, tokens, positions, basis, attn_scale_mult)
 
     monkeypatch.setattr(hmod, "forward", recording)
-    cfg = tiny_cfg(method=method, t_fixed=2.0)
-    settings = tiny_settings(steps=1)
+    cfg = tiny_cfg(method=method, t_fixed=2.0, t_train=1.0)
+    settings = tiny_settings(steps=1, precision="float64" if method == "ode" else "float32")
     result = train(cfg, settings, text_corpus)
     evaluate(result.params, cfg, settings, text_corpus, [cfg.train_len])
     (train_pos, train_theta), *eval_calls = calls
@@ -324,6 +329,38 @@ def test_train_feeds_forward_what_evaluate_feeds_at_train_len(text_corpus, monke
     for eval_pos, eval_theta in eval_calls:
         assert np.array_equal(train_pos, eval_pos)
         assert np.array_equal(train_theta, eval_theta)
+
+
+@pytest.mark.parametrize("method", ["randompos", "ode"])
+def test_train_draws_replay_from_one_generator(text_corpus, monkeypatch, method):
+    # one generator seeded by cfg.seed feeds, in order: init_params, the
+    # OdeNet (ode), then per step the batch, t' (ode) and the positions' seed
+    import ropekit.harness as hmod
+
+    real = hmod.forward
+    fed = []
+
+    def recording(params, cfg, tokens, positions, basis, attn_scale_mult=1.0):
+        fed.append((np.array(tokens), np.array(positions)))
+        return real(params, cfg, tokens, positions, basis, attn_scale_mult)
+
+    monkeypatch.setattr(hmod, "forward", recording)
+    cfg = tiny_cfg(method=method, t_train=4.0, seed=21)
+    settings = tiny_settings(steps=3)
+    result = train(cfg, settings, text_corpus)
+
+    rng = np.random.default_rng(cfg.seed)
+    init_params(cfg, dtype=np.float32, rng=rng)
+    if method == "ode":
+        OdeNet(cfg.d_head, settings.lambda_amp, dtype=np.float32, rng=rng)
+    assert len(fed) == len(result.trace) == 3
+    for (tokens, positions), record in zip(fed, result.trace):
+        inputs, _ = sample_train_batch(text_corpus, cfg.train_len, settings.batch_size, rng)
+        t_prime = float(rng.uniform(1.0, cfg.t_train)) if method == "ode" else None
+        want = position_plan(cfg.train_len, t_prime or cfg.t_train, int(rng.integers(0, 2**63)))
+        assert np.array_equal(tokens, inputs)
+        assert record.t_prime == t_prime
+        assert np.array_equal(positions, want)
 
 
 def test_evaluate_row_fields_per_method(text_corpus):
