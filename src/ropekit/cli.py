@@ -202,7 +202,7 @@ def git_commit() -> str:
         out = subprocess.run(["git", "rev-parse", "HEAD"], capture_output=True, text=True,
                              timeout=10, cwd=Path(__file__).resolve().parent)
         return out.stdout.strip() if out.returncode == 0 else "unknown"
-    except OSError:
+    except (OSError, subprocess.SubprocessError):  # no git, or a hung one
         return "unknown"
 
 

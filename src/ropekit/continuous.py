@@ -118,14 +118,17 @@ def solve(z1, t_target: float, net: OdeNet, steps_per_unit: int = 8) -> Tensor:
     return ad.rk4_solve(z, net.w_up, net.w_down, drift, h)
 
 
+def solve_theta(t_target: float, net: OdeNet, steps_per_unit: int = 8) -> Tensor:
+    """theta = exp(z(t_target)) in the net's dtype, z solved from the log of
+    the stock basis default_basis(net.head_dim); a graph tensor when grad is on."""
+    return ad.exp(solve(np.log(default_basis(net.head_dim).theta), t_target, net, steps_per_unit))
+
+
 def solve_basis(t_target: float, net: OdeNet, steps_per_unit: int = 8) -> FrequencyBasis:
-    """The stock basis default_basis(net.head_dim) solved to t_target, as a
-    plain (non-graph) basis exp(z(t_target))."""
-    base = default_basis(net.head_dim)
+    """solve_theta's values as a plain (non-graph) basis: exactly the theta
+    that a training step at t_target feeds the model, held in float64."""
     with ad.no_grad():
-        z = solve(np.log(base.theta), t_target, net, steps_per_unit)
-        theta = np.exp(z.data.astype(np.float64))
-    return FrequencyBasis(theta, base.head_dim, base.base)
+        return FrequencyBasis(solve_theta(t_target, net, steps_per_unit).data, net.head_dim)
 
 
 def position_plan(train_len: int, t_prime: float, rng_seed: int) -> np.ndarray:

@@ -10,6 +10,7 @@ import math
 import sys
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -23,8 +24,9 @@ from .continuous import (
     OdeNet,
     build_cache,
     position_plan,
-    solve,
+    solve,  # unused here; perfbench reads and patches harness.solve
     solve_basis,
+    solve_theta,
 )
 from .model import ModelConfig, forward, init_params, log_scale_mult
 from .optim import Adam
@@ -126,9 +128,13 @@ class TrainSettings:
     def validate(self) -> "TrainSettings":
         if self.precision not in ("float32", "float64"):
             raise ValueError(f"precision must be float32 or float64, got {self.precision}")
-        for key in ("steps", "batch_size", "steps_per_unit", "lambda_amp"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
+        # nan compares false, so it passes these checks and a nan lr aborts training (exit 4)
+        for key, low in (("steps", 1), ("batch_size", 1), ("steps_per_unit", 1), ("lambda_amp", 1),
+                         ("lr", 0), ("grad_clip", 0)):
+            if getattr(self, key) < low:
+                raise ValueError(f"{key} must be >= {low}, got {getattr(self, key)}")
+        if self.eps <= 0:
+            raise ValueError(f"eps must be > 0, got {self.eps}")
         for key in ("beta1", "beta2"):
             if not 0.0 <= getattr(self, key) < 1.0:
                 raise ValueError(f"{key} must be in [0, 1), got {getattr(self, key)}")
@@ -165,10 +171,7 @@ def train(cfg: ModelConfig, settings: TrainSettings, corpus: Corpus) -> TrainRes
     if cfg.method == "ode":
         net = OdeNet(cfg.d_head, settings.lambda_amp, dtype=dtype, rng=rng)
         params.update(net.params())
-        z1 = np.log(default_basis(cfg.d_head).theta).astype(dtype)
-
-        def solver(t: float) -> Tensor:
-            return ad.exp(solve(z1, t, net, settings.steps_per_unit))
+        solver = partial(solve_theta, net=net, steps_per_unit=settings.steps_per_unit)
 
     opt = Adam(params, settings.lr, settings.beta1, settings.beta2, settings.eps,
                grad_clip=settings.grad_clip)
@@ -344,10 +347,7 @@ def make_cache_session(
     """Basis cache for an ode-method checkpoint plus a lookup session that
     solves on demand past the cached factors, both from one solver."""
     net = OdeNet.from_params(cfg.d_head, params["ode.w_up"], params["ode.w_down"])
-
-    def solver(t: float) -> FrequencyBasis:
-        return solve_basis(t, net, settings.steps_per_unit)
-
+    solver = partial(solve_basis, net=net, steps_per_unit=settings.steps_per_unit)
     cache = build_cache(solver, settings.cache_factors, cfg.train_len)
     return cache, CacheSession(cache, solver)
 

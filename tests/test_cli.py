@@ -142,6 +142,10 @@ def test_train_unknown_key_exits_2(tmp_path, capsys):
     ({"seed": -1}, "seed must"),
     ({"beta1": 1.0}, "beta1 must"),
     ({"beta2": 1.0}, "beta2 must"),
+    ({"lr": -3e-3}, "lr must be >= 0"),
+    ({"grad_clip": -1.0}, "grad_clip must be >= 0"),
+    ({"eps": 0.0}, "eps must be > 0"),
+    ({"eps": -1.0}, "eps must be > 0"),
     ({"t_train": 10**400}, "t_train must be a number that a float can hold"),
     ({"d_model": 10**30, "n_heads": 1}, "d_model must be an integer in the signed 64-bit range"),
     ({"vocab": 2**62}, "vocab x d_model (the embedding table) is 295147905179352825856 entries"),
@@ -152,7 +156,8 @@ def test_train_unknown_key_exits_2(tmp_path, capsys):
         "steps_fraction", "train_len_fraction", "d_model_integral_float", "steps_bool",
         "cache_str", "cache_bool_entry", "corpus_int", "corpus_bool", "split_fraction_null",
         "split_fraction_list", "out_dir_int", "vocab_below_256", "seed_negative",
-        "beta1_1", "beta2_1", "t_train_401_digits", "d_model_beyond_int64",
+        "beta1_1", "beta2_1", "lr_negative", "grad_clip_negative", "eps_0", "eps_negative",
+        "t_train_401_digits", "d_model_beyond_int64",
         "vocab_array_too_big", "batch_size_array_too_big"])
 def test_bad_config_value_exits_2_before_corpus_load(tmp_path, capsys, doc, message):
     # the corpus is absent, so only a check made before loading it can name the key
@@ -756,6 +761,14 @@ def test_git_commit_is_that_of_the_module_checkout_not_of_the_working_directory(
                           capture_output=True, text=True)
     monkeypatch.chdir(tmp_path)
     assert cli.git_commit() == (here.stdout.strip() if here.returncode == 0 else "unknown")
+
+
+def test_git_commit_is_unknown_when_git_hangs(monkeypatch):
+    def hung(*args, **kwargs):
+        raise subprocess.TimeoutExpired(args[0], kwargs.get("timeout"))
+
+    monkeypatch.setattr(subprocess, "run", hung)
+    assert cli.git_commit() == "unknown"
 
 
 @pytest.mark.parametrize("command, target", [("train", "train"), ("eval", "evaluate")])

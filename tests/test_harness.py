@@ -211,7 +211,12 @@ def test_train_aborts_on_nonfinite_grad_norm_before_updating(text_corpus, monkey
     ({"beta1": 1.0}, r"beta1 must be in \[0, 1\)"),
     ({"cache_factors": (2.0, 1.0)}, "cache_factors must"),
     ({"precision": "float16"}, "precision must"),
-], ids=["steps_0", "beta1_1", "cache_descending", "precision"])
+    ({"lr": -3e-3}, "lr must be >= 0"),
+    ({"grad_clip": -1.0}, "grad_clip must be >= 0"),
+    ({"eps": 0.0}, "eps must be > 0"),
+    ({"eps": -1.0}, "eps must be > 0"),
+], ids=["steps_0", "beta1_1", "cache_descending", "precision", "lr_negative", "grad_clip_negative",
+        "eps_0", "eps_negative"])
 def test_train_and_evaluate_validate_settings(text_corpus, kw, message):
     # library callers get the same checks as the command line
     cfg = tiny_cfg()
@@ -306,9 +311,7 @@ def test_method_inputs_returns_the_attention_multiplier(text_corpus, method):
 @pytest.mark.parametrize("method", METHODS)
 def test_train_feeds_forward_what_evaluate_feeds_at_train_len(text_corpus, monkeypatch, method):
     # randompos and ode train at t_train 1, where their drawn positions are
-    # 1..train_len and ode's solved basis is the stock one. ode runs in
-    # float64: in float32, training exponentiates its basis in float32 and
-    # the cache in float64, which can differ in the last place.
+    # 1..train_len and ode's solved basis is the stock one
     import ropekit.harness as hmod
 
     real = hmod.forward
@@ -321,7 +324,7 @@ def test_train_feeds_forward_what_evaluate_feeds_at_train_len(text_corpus, monke
 
     monkeypatch.setattr(hmod, "forward", recording)
     cfg = tiny_cfg(method=method, t_fixed=2.0, t_train=1.0)
-    settings = tiny_settings(steps=1, precision="float64" if method == "ode" else "float32")
+    settings = tiny_settings(steps=1)
     result = train(cfg, settings, text_corpus)
     evaluate(result.params, cfg, settings, text_corpus, [cfg.train_len])
     (train_pos, train_theta), *eval_calls = calls
@@ -329,6 +332,30 @@ def test_train_feeds_forward_what_evaluate_feeds_at_train_len(text_corpus, monke
     for eval_pos, eval_theta in eval_calls:
         assert np.array_equal(train_pos, eval_pos)
         assert np.array_equal(train_theta, eval_theta)
+
+
+def test_train_feeds_forward_the_cached_basis_at_its_drawn_factor(text_corpus, monkeypatch):
+    # at a drawn t' > 1 a float32 training step feeds forward, bit for bit,
+    # the basis that a cache holding t' returns; lr 0 keeps the weights the
+    # step solved with
+    import ropekit.harness as hmod
+
+    real = hmod.forward
+    fed = []
+
+    def recording(params, cfg, tokens, positions, basis, attn_scale_mult=1.0):
+        fed.append(np.array(basis.data, dtype=np.float64))
+        return real(params, cfg, tokens, positions, basis, attn_scale_mult)
+
+    monkeypatch.setattr(hmod, "forward", recording)
+    cfg = tiny_cfg(method="ode", t_train=8.0)
+    result = train(cfg, tiny_settings(steps=1, lr=0.0), text_corpus)
+    (record,) = result.trace
+    assert record.t_prime > 1.0
+    _, session = make_cache_session(result.params, cfg, tiny_settings(cache_factors=(record.t_prime,)))
+    t, basis = session.lookup(cfg.train_len)
+    assert t == record.t_prime
+    assert np.array_equal(fed[0], basis.theta)
 
 
 @pytest.mark.parametrize("method", ["randompos", "ode"])
