@@ -4,7 +4,7 @@ transformer harness for train-short / test-long experiments."""
 
 from .autodiff import Tensor, backward, no_grad
 from .continuous import BasisCache, CacheSession, OdeNet
-from .harness import Corpus, EvalReport, TrainSettings, compare, evaluate, load_corpus, train
+from .harness import Corpus, EvalReport, TrainSettings, evaluate, load_corpus, train
 from .model import ModelConfig, forward, log_scale_mult
 from .rotary import FrequencyBasis, alpha, apply_rotary, default_basis, pair_score, scale_basis
 
@@ -20,7 +20,6 @@ __all__ = [
     "Corpus",
     "EvalReport",
     "TrainSettings",
-    "compare",
     "evaluate",
     "load_corpus",
     "train",

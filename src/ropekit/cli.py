@@ -26,14 +26,14 @@ from typing import Callable
 
 import numpy as np
 
+from .autodiff import ATTENTION_BLOCK
 from .checkpoint import load_checkpoint, save_checkpoint
 from .continuous import OdeNet, cache_to_json, check_fits, rk4_steps, solve_basis
 from .harness import (
-    CompareEntry,
     EvalReport,
     NumericalAbort,
+    TrainResult,
     TrainSettings,
-    compare,
     evaluate,
     extrapolation_breakpoints,
     load_corpus,
@@ -175,18 +175,21 @@ def split_config(cfg: dict) -> tuple[ModelConfig, TrainSettings]:
         raise ValueError("eval_lens must list at least one length")
     if not all(n >= 2 for n in shared["eval_lens"]):
         raise ValueError(f"eval_lens must all be >= 2, got {shared['eval_lens']}")
-    m, batch = model_cfg, settings.batch_size
+    m, batch, longest = model_cfg, settings.batch_size, max(shared["eval_lens"])
+    if m.method == "ode":
+        # continuous.solve's drift table at the largest factor the config solves at
+        t_max = max(m.t_train, settings.cache_factors[-1], longest / m.train_len)
+        rk4_steps(t_max, settings.steps_per_unit, m.d_head)
     for shape, size in (
         ("vocab x d_model (the embedding table)", m.vocab * m.d_model),
         ("d_model x 4 d_model (an MLP weight)", 4 * m.d_model**2),
         ("batch_size x train_len x vocab (a step's logits)", batch * m.train_len * m.vocab),
         ("batch_size x n_heads x train_len^2 (a step's attention weights)", batch * m.n_heads * m.train_len**2),
+        ("batch_size x max(eval_lens) x vocab (an eval step's logits)", batch * longest * m.vocab),
+        ("batch_size x n_heads x min(ATTENTION_BLOCK, max(eval_lens)) x max(eval_lens) (an eval attention slab)",
+         batch * m.n_heads * min(ATTENTION_BLOCK, longest) * longest),
     ):
         check_fits(shape, size)
-    if m.method == "ode":
-        # continuous.solve's drift table at the largest factor the config solves at
-        t_max = max(m.t_train, settings.cache_factors[-1], max(shared["eval_lens"]) / m.train_len)
-        rk4_steps(t_max, settings.steps_per_unit, m.d_head)
     return model_cfg, settings
 
 
@@ -256,12 +259,14 @@ def _load_run_corpus(cfg: dict, train_lens=(), eval_lens=()):
     return corpus
 
 
-def write_loss_csv(run_dir: Path, trace) -> None:
+def save_trained(run_dir: Path, result: TrainResult, cfg: dict) -> None:
+    """A trained run's loss.csv and checkpoint/ in run_dir."""
     lines = ["step,loss,t_prime"]
-    for rec in trace:
+    for rec in result.trace:
         t = "" if rec.t_prime is None else f"{rec.t_prime:.8f}"
         lines.append(f"{rec.step},{rec.loss:.8f},{t}")
     (run_dir / "loss.csv").write_text("\n".join(lines) + "\n")
+    save_checkpoint(run_dir / "checkpoint", result.params, checkpoint_extra(cfg))
 
 
 def checkpoint_extra(cfg: dict) -> dict:
@@ -336,8 +341,7 @@ def cmd_train(args) -> Callable[[], None]:
         write_resolved_config(run_dir, cfg)
         print(f"run dir: {run_dir}", file=sys.stderr)
         result = train(model_cfg, settings, corpus)
-        write_loss_csv(run_dir, result.trace)
-        save_checkpoint(run_dir / "checkpoint", result.params, checkpoint_extra(cfg))
+        save_trained(run_dir, result, cfg)
         print(f"trained {model_cfg.method} for {settings.steps} steps; "
               f"final loss {result.trace[-1].loss:.6f}")
         print(f"checkpoint: {run_dir / 'checkpoint'}")
@@ -421,19 +425,17 @@ def cmd_basis(args) -> Callable[[], None]:
 def cmd_compare(args) -> Callable[[], None]:
     cfg = apply_overrides(load_config_file(args.config, allow_runs=True), args.set)
     shared = {k: v for k, v in cfg.items() if k != "runs"}
-    entries, labels, run_cfgs = [], [], []
+    runs = []  # (label, merged config, model config, settings, checkpoint params or None)
     for run_doc in cfg["runs"]:
         merged = dict(shared)
         merged.update({k: v for k, v in run_doc.items() if k not in _RUN_ONLY_KEYS})
-        run_cfgs.append(merged)
         model_cfg, settings = split_config(merged)
-        label = run_doc.get("label") or model_cfg.method
-        labels.append(label)
         params = None
         if run_doc.get("checkpoint"):
             params, extra = load_checkpoint(run_doc["checkpoint"])
             check_compat(params, extra, merged, model_cfg, settings)
-        entries.append(CompareEntry(model_cfg, settings, params, label))
+        runs.append((run_doc.get("label") or model_cfg.method, merged, model_cfg, settings, params))
+    labels = [run[0] for run in runs]
     if len(set(labels)) != len(labels):
         raise InputError(f"duplicate run labels: {labels}; set distinct 'label' keys")
     if any("," in label for label in labels):
@@ -442,25 +444,27 @@ def cmd_compare(args) -> Callable[[], None]:
     if any(label in reserved or set(label) & {os.sep, os.altsep, "\0"} for label in labels):
         raise InputError(f"run labels name subdirectories of the run directory, so may not be one of "
                          f"{sorted(reserved)} or contain a path separator: {labels}")
-    vocabs = sorted({e.cfg.vocab for e in entries})
+    vocabs = sorted({model_cfg.vocab for _, _, model_cfg, _, _ in runs})
     if len(vocabs) > 1:
         raise InputError(f"runs must share one vocab, got vocab sizes {vocabs}")
 
-    train_lens = [e.cfg.train_len for e in entries if e.params is None]
+    train_lens = [model_cfg.train_len for _, _, model_cfg, _, params in runs if params is None]
     corpus = _load_run_corpus(cfg, train_lens, cfg["eval_lens"])
     run_dir = make_run_dir(cfg, args.out, "compare", "x".join(labels))
 
     def work():
         write_resolved_config(run_dir, cfg)
         print(f"run dir: {run_dir}", file=sys.stderr)
-        report, results = compare(entries, corpus, cfg["eval_lens"])
+        report = EvalReport()
+        # each trained run is saved before the next one starts, so an abort keeps it
+        for label, run_cfg, model_cfg, settings, params in runs:
+            if params is None:
+                result = train(model_cfg, settings, corpus)
+                (run_dir / label).mkdir()
+                save_trained(run_dir / label, result, run_cfg)
+                params = result.params
+            report.rows.extend(evaluate(params, model_cfg, settings, corpus, cfg["eval_lens"], label).rows)
         write_report(run_dir, report, cfg)
-        for label, run_cfg, result in zip(labels, run_cfgs, results):
-            if result is not None:
-                sub = run_dir / label
-                sub.mkdir(exist_ok=True)
-                write_loss_csv(sub, result.trace)
-                save_checkpoint(sub / "checkpoint", result.params, checkpoint_extra(run_cfg))
 
         print(format_table(report))
         print()
@@ -475,6 +479,7 @@ def cmd_compare(args) -> Callable[[], None]:
 def cmd_corpus(args) -> Callable[[], None]:
     if args.bytes < 1:
         raise InputError("corpus size must be positive")
+    check_fits("--bytes (the corpus, one entry per byte)", args.bytes)
     if args.seed < 0:
         raise InputError(f"--seed must be a non-negative integer, got {args.seed}")
     out = output_file(args.out)

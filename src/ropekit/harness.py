@@ -394,35 +394,6 @@ def evaluate(
     return report
 
 
-@dataclass
-class CompareEntry:
-    cfg: ModelConfig
-    settings: TrainSettings
-    params: dict | None = None  # pre-trained parameters; None means train here
-    label: str | None = None
-
-
-def compare(entries: list[CompareEntry], corpus: Corpus, eval_lens) -> tuple[EvalReport, list[TrainResult | None]]:
-    """Train (or reuse) each configuration and evaluate all of them on the
-    shared length grid, merging rows into one report."""
-    vocabs = {e.cfg.vocab for e in entries}
-    if len(vocabs) > 1:
-        raise ValueError(f"conflicting vocab sizes across configs: {sorted(vocabs)}")
-    merged = EvalReport()
-    results: list[TrainResult | None] = []
-    for entry in entries:
-        if entry.params is None:
-            result = train(entry.cfg, entry.settings, corpus)
-            params = result.params
-        else:
-            result = None
-            params = entry.params
-        results.append(result)
-        rep = evaluate(params, entry.cfg, entry.settings, corpus, eval_lens, entry.label)
-        merged.rows.extend(rep.rows)
-    return merged, results
-
-
 def extrapolation_breakpoints(report: EvalReport) -> dict[str, int | None]:
     """Smallest eval_len where a method's ppl exceeds twice its ppl at its
     training length; None if that never happens on the grid."""

@@ -18,10 +18,11 @@ from ropekit.autodiff import Tensor
 from ropekit.cli import main
 from ropekit.continuous import OdeNet, solve
 from ropekit.harness import (
-    CompareEntry,
+    EvalReport,
     TrainSettings,
-    compare,
+    evaluate,
     load_corpus,
+    train,
     write_demo_corpus,
 )
 from ropekit.model import ModelConfig, forward, init_params, log_scale_mult
@@ -224,12 +225,10 @@ def trend_report(tmp_path_factory):
             method=method, seed=TREND_SEED, **kw,
         ).validate()
 
-    entries = [
-        CompareEntry(cfg("rope"), settings),
-        CompareEntry(cfg("yarn", t_fixed=8.0), settings),
-        CompareEntry(cfg("ode", t_train=8.0), settings),
-    ]
-    report, _ = compare(entries, corpus, TREND_EVAL_LENS)
+    report = EvalReport()
+    for model_cfg in (cfg("rope"), cfg("yarn", t_fixed=8.0), cfg("ode", t_train=8.0)):
+        result = train(model_cfg, settings, corpus)
+        report.rows.extend(evaluate(result.params, model_cfg, settings, corpus, TREND_EVAL_LENS).rows)
     print()
     print(report.to_csv())
     return report

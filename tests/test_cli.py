@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import os
 import shutil
 import subprocess
 import tempfile
@@ -59,6 +60,11 @@ def write_config(tmp_path, doc, name="config.json"):
 
 def run_dirs(root):
     return sorted(p for p in Path(root).iterdir() if p.is_dir())
+
+
+def small_machine(monkeypatch, memory):
+    """Makes continuous.check_fits see `memory` bytes of physical memory."""
+    monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": memory // 4096, "SC_PAGE_SIZE": 4096}.get)
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +180,26 @@ def test_model_too_big_for_memory_exits_2_before_corpus_load(tmp_path, capsys):
     assert main(["train", "-c", str(cfg), "-o", str(tmp_path / "runs")]) == 2
     err = capsys.readouterr().err
     assert "error: vocab x d_model" in err and "Traceback" not in err
+    assert not (tmp_path / "runs").exists()
+
+
+_SLAB = "batch_size x n_heads x min(ATTENTION_BLOCK, max(eval_lens)) x max(eval_lens) (an eval attention slab)"
+
+
+@pytest.mark.parametrize("doc, memory, message", [
+    ({"eval_lens": [2**40]}, None, "batch_size x max(eval_lens) x vocab (an eval step's logits) is"),
+    # 1 x 1500 x 256 logits fit in 512,000 float64 entries, 1 x 4 x 128 x 1500 weights do not
+    ({"batch_size": 1, "d_model": 16, "train_len": 32, "eval_lens": [1500]}, 4_096_000, f"{_SLAB} is 768000"),
+], ids=["logits", "attention_slab"])
+def test_eval_length_too_big_for_memory_exits_2_before_corpus_load(tmp_path, capsys, monkeypatch, doc, memory, message):
+    # an eval step's logits and attention slab grow with the longest eval
+    # length, which nothing but the corpus bounded before
+    if memory is not None:
+        small_machine(monkeypatch, memory)
+    cfg = write_config(tmp_path, {"corpus": str(tmp_path / "absent.bin"), **doc})
+    assert main(["train", "-c", str(cfg), "-o", str(tmp_path / "runs")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and "Traceback" not in err
     assert not (tmp_path / "runs").exists()
 
 
@@ -631,6 +657,7 @@ def test_compare_two_methods(tmp_path, corpus_file, capsys):
     (run_dir,) = run_dirs(out)
     lines = (run_dir / "report.csv").read_text().strip().split("\n")
     assert len(lines) == 1 + 4  # 2 methods x 2 lengths
+    assert [line.split(",")[0] for line in lines[1:]] == ["rope", "rope", "pi", "pi"]  # runs' order
     stdout = capsys.readouterr().out
     assert "extrapolation breakpoint for rope:" in stdout
     assert "extrapolation breakpoint for pi:" in stdout
@@ -641,6 +668,25 @@ def test_compare_two_methods(tmp_path, corpus_file, capsys):
     # per-method artifacts
     assert (run_dir / "rope" / "loss.csv").exists()
     assert (run_dir / "pi" / "checkpoint" / "params.bin").exists()
+
+
+_SAVED = ("loss.csv", "checkpoint/params.bin", "checkpoint/manifest.json")
+
+
+def test_compare_keeps_finished_runs_when_a_later_run_aborts(tmp_path, corpus_file, capsys):
+    finished = [{"method": "rope"}, {"method": "pi", "t_fixed": 2.0}]
+    aborting = {"method": "ode", "t_train": 2.0, "lr": float("nan")}  # json.dumps writes NaN
+    cfg = write_config(tmp_path, {**tiny_config(corpus_file), "runs": [*finished, aborting]}, "abort.json")
+    assert main(["compare", "-c", str(cfg), "-o", str(tmp_path / "aborted")]) == 4
+    assert "non-finite loss" in capsys.readouterr().err
+    (aborted,) = run_dirs(tmp_path / "aborted")
+    assert not (aborted / "ode").exists() and not (aborted / "report.csv").exists()
+    cfg = write_config(tmp_path, {**tiny_config(corpus_file), "runs": finished}, "finished.json")
+    assert main(["compare", "-c", str(cfg), "-o", str(tmp_path / "finished")]) == 0
+    (whole,) = run_dirs(tmp_path / "finished")
+    for label in ("rope", "pi"):
+        for rel in _SAVED:
+            assert (aborted / label / rel).read_bytes() == (whole / label / rel).read_bytes(), (label, rel)
 
 
 def test_compare_duplicate_labels_exit_2(tmp_path, corpus_file):
@@ -810,6 +856,17 @@ def test_corpus_subcommand(tmp_path):
     out = tmp_path / "c.bin"
     assert main(["corpus", "-o", str(out), "--bytes", "5000", "--seed", "1"]) == 0
     assert out.stat().st_size == 5000
+
+
+def test_corpus_beyond_memory_exits_2_before_generating(tmp_path, capsys, monkeypatch):
+    # a machine of 4,096,000 bytes holds 512,000 entries, so a million bytes
+    # is refused before generation, which holds several copies of the text
+    small_machine(monkeypatch, 4_096_000)
+    assert main(["corpus", "-o", str(tmp_path / "c.txt"), "--bytes", "1000000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --bytes (the corpus, one entry per byte) is 1000000 entries")
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import re
 from pathlib import Path
@@ -11,16 +12,15 @@ from helpers import reference_demo_corpus_bytes
 from ropekit import autodiff as ad
 from ropekit import checkpoint
 from ropekit.checkpoint import load_checkpoint, save_checkpoint
+from ropekit.cli import main
 from ropekit.continuous import position_plan, solve
 from ropekit.harness import (
     CSV_HEADER,
-    CompareEntry,
     Corpus,
     EvalReport,
     EvalRow,
     NumericalAbort,
     TrainSettings,
-    compare,
     demo_corpus_bytes,
     evaluate,
     evaluation_windows,
@@ -52,10 +52,15 @@ def tiny_settings(**kw):
 
 
 @pytest.fixture(scope="module")
-def text_corpus(tmp_path_factory):
+def corpus_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("corpus") / "demo.txt"
     write_demo_corpus(path, 120_000, seed=0)
-    return load_corpus(path, 0.9)
+    return path
+
+
+@pytest.fixture(scope="module")
+def text_corpus(corpus_path):
+    return load_corpus(corpus_path, 0.9)
 
 
 # ---------------------------------------------------------------------------
@@ -462,48 +467,62 @@ def test_evaluate_rejects_tiny_lengths(text_corpus):
 
 
 # ---------------------------------------------------------------------------
-# compare and reports
+# compare: `ropekit compare` trains, saves and scores its runs in one loop
 
 
-def test_compare_merges_and_counts(text_corpus):
-    entries = [
-        CompareEntry(tiny_cfg(method="rope", seed=9), tiny_settings()),
-        CompareEntry(tiny_cfg(method="pi", t_fixed=2.0, seed=9), tiny_settings()),
-    ]
-    report, results = compare(entries, text_corpus, [32, 64])
-    assert len(report.rows) == 4  # methods x lengths
-    assert [r.method for r in report.rows] == ["rope", "rope", "pi", "pi"]
-    assert results[0] is not None and results[1] is not None
+def tiny_doc(corpus_path, **kw):
+    return {"corpus": str(corpus_path), "vocab": 256, "n_layers": 1, "n_heads": 2, "d_model": 16,
+            "train_len": 32, "steps": 2, "batch_size": 4, "eval_lens": [32, 64], "seed": 0, **kw}
 
 
-def test_compare_single_entry_matches_evaluate(text_corpus):
-    cfg = tiny_cfg(seed=10)
-    settings = tiny_settings()
-    result = train(cfg, settings, text_corpus)
-    direct = evaluate(result.params, cfg, settings, text_corpus, [32])
-    merged, _ = compare([CompareEntry(cfg, settings)], text_corpus, [32])
-    assert merged.rows == direct.rows
+def run_cli(tmp_path, name, command, doc, *argv):
+    """Runs `ropekit <command>` on config `doc` and returns the run directory it made."""
+    cfg = tmp_path / f"{name}.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / name
+    assert main([command, "-c", str(cfg), *argv, "-o", str(out)]) == 0
+    (run_dir,) = out.iterdir()
+    return run_dir
 
 
-def test_compare_rejects_conflicting_vocab(text_corpus):
-    entries = [
-        CompareEntry(tiny_cfg(vocab=256), tiny_settings()),
-        CompareEntry(tiny_cfg(vocab=128), tiny_settings()),
-    ]
-    with pytest.raises(ValueError):
-        compare(entries, text_corpus, [32])
+def test_compare_merges_and_counts(corpus_path, tmp_path):
+    # report.csv is the eval reports of the runs' saved checkpoints, joined in run order
+    runs = [{"method": "rope"}, {"method": "pi", "t_fixed": 2.0}]
+    doc = tiny_doc(corpus_path, seed=9)
+    compared = run_cli(tmp_path, "compare", "compare", {**doc, "runs": runs})
+    lines = (compared / "report.csv").read_text().splitlines()
+    assert len(lines) == 1 + 4  # header + runs x lengths
+    expected = lines[:1]
+    for run in runs:
+        ckpt = compared / run["method"] / "checkpoint"
+        evaluated = run_cli(tmp_path, "eval_" + run["method"], "eval", {**doc, **run}, "--checkpoint", str(ckpt))
+        expected += (evaluated / "report.csv").read_text().splitlines()[1:]
+    assert lines == expected
+    assert [line.split(",")[0] for line in lines[1:]] == ["rope", "rope", "pi", "pi"]
 
 
-def test_compare_reuses_pretrained_params(text_corpus):
-    cfg = tiny_cfg(seed=12)
-    settings = tiny_settings()
-    result = train(cfg, settings, text_corpus)
-    merged, results = compare(
-        [CompareEntry(cfg, settings, params=result.params)], text_corpus, [32]
-    )
-    assert results == [None]
-    direct = evaluate(result.params, cfg, settings, text_corpus, [32])
-    assert merged.rows == direct.rows
+@pytest.fixture(scope="module")
+def one_run_compare(corpus_path, tmp_path_factory):
+    doc = tiny_doc(corpus_path, method="ode", t_train=2.0, cache_factors=[1.0, 2.0])
+    return doc, run_cli(tmp_path_factory.mktemp("one_run"), "trained", "compare", doc)
+
+
+def test_compare_single_entry_matches_evaluate(one_run_compare, tmp_path):
+    doc, trained = one_run_compare
+    evaluated = run_cli(tmp_path, "eval", "eval", doc, "--checkpoint", str(trained / "ode" / "checkpoint"))
+    assert (evaluated / "report.csv").read_bytes() == (trained / "report.csv").read_bytes()
+
+
+def test_compare_reuses_pretrained_params(one_run_compare, tmp_path):
+    doc, trained = one_run_compare
+    runs = [{"checkpoint": str(trained / "ode" / "checkpoint")}]
+    reused = run_cli(tmp_path, "reused", "compare", {**doc, "runs": runs})
+    assert (reused / "report.csv").read_bytes() == (trained / "report.csv").read_bytes()
+    assert [p for p in reused.iterdir() if p.is_dir()] == []  # nothing trained, so nothing saved
+
+
+# ---------------------------------------------------------------------------
+# reports
 
 
 def test_report_csv_schema():
