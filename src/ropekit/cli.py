@@ -241,34 +241,6 @@ def write_resolved_config(run_dir: Path, cfg: dict) -> None:
     (run_dir / "config.json").write_text(json.dumps(cfg, indent=2, sort_keys=True) + "\n")
 
 
-def _load_run_corpus(cfg: dict, train_lens=(), eval_lens=()):
-    """The config's corpus, checked to hold a training window of each
-    train_len (plus its next-token target) and a validation window of each
-    eval length, so a short corpus fails before any training."""
-    path = cfg.get("corpus")
-    if not path:
-        raise InputError("config key 'corpus' is required")
-    corpus = load_corpus(path, cfg["split_fraction"])
-    for n in train_lens:
-        if corpus.train.size < n + 1:
-            raise InputError(f"training split too short: {corpus.train.size} bytes < train_len {n} + 1")
-    if eval_lens and corpus.val.size < max(eval_lens):
-        raise InputError(
-            f"validation split too short: {corpus.val.size} bytes < one window of {max(eval_lens)}"
-        )
-    return corpus
-
-
-def save_trained(run_dir: Path, result: TrainResult, cfg: dict) -> None:
-    """A trained run's loss.csv and checkpoint/ in run_dir."""
-    lines = ["step,loss,t_prime"]
-    for rec in result.trace:
-        t = "" if rec.t_prime is None else f"{rec.t_prime:.8f}"
-        lines.append(f"{rec.step},{rec.loss:.8f},{t}")
-    (run_dir / "loss.csv").write_text("\n".join(lines) + "\n")
-    save_checkpoint(run_dir / "checkpoint", result.params, checkpoint_extra(cfg))
-
-
 def checkpoint_extra(cfg: dict) -> dict:
     return {
         "model": {f.name: cfg[f.name] for f in fields(ModelConfig)},
@@ -327,21 +299,75 @@ def format_table(report: EvalReport) -> str:
     return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)) for row in rows)
 
 
+def plan_runs(cfg: dict, run_docs: list[dict], scored: bool = True):
+    """Each of run_docs (compare's runs, or the one run of train or eval) as
+    [label, resolved config, model config, settings, checkpoint params or
+    None to train it], and the corpus. Every command checks in this order:
+    the runs' values, labels and vocab, then the corpus (the validation split
+    only when the runs are scored), then each checkpoint against its run."""
+    shared = {k: v for k, v in cfg.items() if k != "runs"}
+    runs = []
+    for doc in run_docs:
+        run_cfg = {**shared, **{k: v for k, v in doc.items() if k not in _RUN_ONLY_KEYS}}
+        model_cfg, settings = split_config(run_cfg)
+        runs.append([doc.get("label") or model_cfg.method, run_cfg, model_cfg, settings, doc.get("checkpoint")])
+    labels = [run[0] for run in runs]
+    if len(set(labels)) != len(labels):
+        raise InputError(f"duplicate run labels: {labels}; set distinct 'label' keys")
+    if any("," in label for label in labels):
+        raise InputError(f"run labels are report.csv fields and may not contain commas: {labels}")
+    reserved = {".", "..", "config.json", "report.csv", "report.json"}
+    if any(label in reserved or set(label) & {os.sep, os.altsep, "\0"} for label in labels):
+        raise InputError(f"run labels name subdirectories of the run directory, so may not be one of "
+                         f"{sorted(reserved)} or contain a path separator: {labels}")
+    vocabs = sorted({run[2].vocab for run in runs})
+    if len(vocabs) > 1:
+        raise InputError(f"runs must share one vocab, got vocab sizes {vocabs}")
+
+    if not cfg.get("corpus"):
+        raise InputError("config key 'corpus' is required")
+    corpus = load_corpus(cfg["corpus"], cfg["split_fraction"])
+    for _, _, model_cfg, _, checkpoint in runs:
+        if checkpoint is None and corpus.train.size < model_cfg.train_len + 1:
+            raise InputError(f"training split too short: {corpus.train.size} bytes "
+                             f"< train_len {model_cfg.train_len} + 1")
+    if scored and corpus.val.size < max(cfg["eval_lens"]):
+        raise InputError(
+            f"validation split too short: {corpus.val.size} bytes < one window of {max(cfg['eval_lens'])}"
+        )
+    for run in runs:
+        if run[4] is not None:
+            params, extra = load_checkpoint(run[4])
+            check_compat(params, extra, *run[1:4])
+            run[4] = params
+    return runs, corpus
+
+
+def train_run(run_dir: Path, cfg: dict, model_cfg: ModelConfig, settings: TrainSettings, corpus) -> TrainResult:
+    """Trains a run into run_dir: config.json first, then loss.csv and checkpoint/."""
+    write_resolved_config(run_dir, cfg)
+    result = train(model_cfg, settings, corpus)
+    lines = ["step,loss,t_prime"]
+    for rec in result.trace:
+        t = "" if rec.t_prime is None else f"{rec.t_prime:.8f}"
+        lines.append(f"{rec.step},{rec.loss:.8f},{t}")
+    (run_dir / "loss.csv").write_text("\n".join(lines) + "\n")
+    save_checkpoint(run_dir / "checkpoint", result.params, checkpoint_extra(cfg))
+    return result
+
+
 # ---------------------------------------------------------------------------
 # commands: each checks all of its input, then returns its work for main to run
 
 
 def cmd_train(args) -> Callable[[], None]:
     cfg = apply_overrides(load_config_file(args.config), args.set)
-    model_cfg, settings = split_config(cfg)
-    corpus = _load_run_corpus(cfg, train_lens=[model_cfg.train_len])
+    [(_, _, model_cfg, settings, _)], corpus = plan_runs(cfg, [{}], scored=False)
     run_dir = make_run_dir(cfg, args.out, "train", model_cfg.method)
 
     def work():
-        write_resolved_config(run_dir, cfg)
         print(f"run dir: {run_dir}", file=sys.stderr)
-        result = train(model_cfg, settings, corpus)
-        save_trained(run_dir, result, cfg)
+        result = train_run(run_dir, cfg, model_cfg, settings, corpus)
         print(f"trained {model_cfg.method} for {settings.steps} steps; "
               f"final loss {result.trace[-1].loss:.6f}")
         print(f"checkpoint: {run_dir / 'checkpoint'}")
@@ -350,10 +376,7 @@ def cmd_train(args) -> Callable[[], None]:
 
 def cmd_eval(args) -> Callable[[], None]:
     cfg = apply_overrides(load_config_file(args.config), args.set)
-    model_cfg, settings = split_config(cfg)
-    corpus = _load_run_corpus(cfg, eval_lens=cfg["eval_lens"])
-    params, extra = load_checkpoint(args.checkpoint)
-    check_compat(params, extra, cfg, model_cfg, settings)
+    [(_, _, model_cfg, settings, params)], corpus = plan_runs(cfg, [{"checkpoint": args.checkpoint}])
     run_dir = make_run_dir(cfg, args.out, "eval", model_cfg.method)
 
     def work():
@@ -424,32 +447,8 @@ def cmd_basis(args) -> Callable[[], None]:
 
 def cmd_compare(args) -> Callable[[], None]:
     cfg = apply_overrides(load_config_file(args.config, allow_runs=True), args.set)
-    shared = {k: v for k, v in cfg.items() if k != "runs"}
-    runs = []  # (label, merged config, model config, settings, checkpoint params or None)
-    for run_doc in cfg["runs"]:
-        merged = dict(shared)
-        merged.update({k: v for k, v in run_doc.items() if k not in _RUN_ONLY_KEYS})
-        model_cfg, settings = split_config(merged)
-        params = None
-        if run_doc.get("checkpoint"):
-            params, extra = load_checkpoint(run_doc["checkpoint"])
-            check_compat(params, extra, merged, model_cfg, settings)
-        runs.append((run_doc.get("label") or model_cfg.method, merged, model_cfg, settings, params))
+    runs, corpus = plan_runs(cfg, cfg["runs"])
     labels = [run[0] for run in runs]
-    if len(set(labels)) != len(labels):
-        raise InputError(f"duplicate run labels: {labels}; set distinct 'label' keys")
-    if any("," in label for label in labels):
-        raise InputError(f"run labels are report.csv fields and may not contain commas: {labels}")
-    reserved = {".", "..", "config.json", "report.csv", "report.json"}
-    if any(label in reserved or set(label) & {os.sep, os.altsep, "\0"} for label in labels):
-        raise InputError(f"run labels name subdirectories of the run directory, so may not be one of "
-                         f"{sorted(reserved)} or contain a path separator: {labels}")
-    vocabs = sorted({model_cfg.vocab for _, _, model_cfg, _, _ in runs})
-    if len(vocabs) > 1:
-        raise InputError(f"runs must share one vocab, got vocab sizes {vocabs}")
-
-    train_lens = [model_cfg.train_len for _, _, model_cfg, _, params in runs if params is None]
-    corpus = _load_run_corpus(cfg, train_lens, cfg["eval_lens"])
     run_dir = make_run_dir(cfg, args.out, "compare", "x".join(labels))
 
     def work():
@@ -459,10 +458,11 @@ def cmd_compare(args) -> Callable[[], None]:
         # each trained run is saved before the next one starts, so an abort keeps it
         for label, run_cfg, model_cfg, settings, params in runs:
             if params is None:
-                result = train(model_cfg, settings, corpus)
                 (run_dir / label).mkdir()
-                save_trained(run_dir / label, result, run_cfg)
-                params = result.params
+                try:
+                    params = train_run(run_dir / label, run_cfg, model_cfg, settings, corpus).params
+                except NumericalAbort as e:
+                    raise NumericalAbort(f"run {label}: {e}") from None
             report.rows.extend(evaluate(params, model_cfg, settings, corpus, cfg["eval_lens"], label).rows)
         write_report(run_dir, report, cfg)
 

@@ -275,13 +275,17 @@ def test_eval_validation_split_shorter_than_eval_len_exits_2(tmp_path, capsys, c
     assert not (tmp_path / "runs").exists()
 
 
-@pytest.mark.parametrize("corpus, key, value, message", [
-    ("short_corpus_file", "train_len", 256, "training split too short"),
-    ("corpus_file", "eval_lens", [32, 8192], "validation split too short"),
-], ids=["train_len", "eval_len"])
-def test_compare_corpus_too_short_exits_2_before_training(tmp_path, capsys, request, corpus, key, value, message):
+@pytest.mark.parametrize("corpus, key, value, message, reused", [
+    ("short_corpus_file", "train_len", 256, "training split too short", []),
+    ("corpus_file", "eval_lens", [32, 8192], "validation split too short", []),
+    # checked before any checkpoint is read, as eval checks it
+    ("corpus_file", "eval_lens", [32, 8192], "validation split too short",
+     [{"label": "reused", "checkpoint": "absent"}]),
+], ids=["train_len", "eval_len", "eval_len_absent_checkpoint"])
+def test_compare_corpus_too_short_exits_2_before_training(tmp_path, capsys, request, corpus, key, value, message,
+                                                         reused):
     doc = tiny_config(request.getfixturevalue(corpus), **{key: value})
-    doc["runs"] = [{"method": "rope"}, {"method": "pi", "t_fixed": 2.0}]
+    doc["runs"] = [{"method": "rope"}, {"method": "pi", "t_fixed": 2.0}, *reused]
     cfg = write_config(tmp_path, doc)
     assert main(["compare", "-c", str(cfg), "-o", str(tmp_path / "x")]) == 2
     assert f"error: {message}" in capsys.readouterr().err
@@ -463,26 +467,19 @@ _DAMAGE = [("layers.0.wq", None), ("ode.w_down", (3, 4)), ("layers.0.w1", (16, 5
 _DAMAGE_IDS = ["no_wq", "w_down_3_rows", "w1_5_columns"]
 
 
+@pytest.mark.parametrize("command", ["eval", "compare"])
 @pytest.mark.parametrize("name, shape", _DAMAGE, ids=_DAMAGE_IDS)
-def test_eval_checkpoint_tensor_mismatch_exits_3(tmp_path, capsys, ode_checkpoint, name, shape):
+def test_checkpoint_tensor_mismatch_exits_3(tmp_path, capsys, ode_checkpoint, command, name, shape):
     ckpt = _damaged(tmp_path, ode_checkpoint, name, shape)
-    argv = ["eval", "-c", str(ode_checkpoint[0]), "--checkpoint", str(ckpt), "-o", str(tmp_path / "runs")]
-    assert main(argv) == 3
+    if command == "eval":
+        argv = ["eval", "-c", str(ode_checkpoint[0]), "--checkpoint", str(ckpt)]
+    else:
+        doc = json.loads(ode_checkpoint[0].read_text())
+        argv = ["compare", "-c", str(write_config(tmp_path, {**doc, "runs": [{"checkpoint": str(ckpt)}]}))]
+    assert main([*argv, "-o", str(tmp_path / "runs")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: checkpoint tensors do not match") and f"{name}: checkpoint has" in err
     assert "Traceback" not in err
-    assert not (tmp_path / "runs").exists()
-
-
-@pytest.mark.parametrize("name, shape", _DAMAGE, ids=_DAMAGE_IDS)
-def test_compare_checkpoint_tensor_mismatch_exits_3(tmp_path, capsys, corpus_file, ode_checkpoint, name, shape):
-    ckpt = _damaged(tmp_path, ode_checkpoint, name, shape)
-    doc = json.loads(ode_checkpoint[0].read_text())
-    doc["runs"] = [{"checkpoint": str(ckpt)}]
-    cfg = write_config(tmp_path, doc)
-    assert main(["compare", "-c", str(cfg), "-o", str(tmp_path / "runs")]) == 3
-    err = capsys.readouterr().err
-    assert f"{name}: checkpoint has" in err and "Traceback" not in err
     assert not (tmp_path / "runs").exists()
 
 
@@ -675,18 +672,48 @@ _SAVED = ("loss.csv", "checkpoint/params.bin", "checkpoint/manifest.json")
 
 def test_compare_keeps_finished_runs_when_a_later_run_aborts(tmp_path, corpus_file, capsys):
     finished = [{"method": "rope"}, {"method": "pi", "t_fixed": 2.0}]
-    aborting = {"method": "ode", "t_train": 2.0, "lr": float("nan")}  # json.dumps writes NaN
+    aborting = {"method": "ode", "label": "ode_t2", "t_train": 2.0, "lr": float("nan")}  # json.dumps writes NaN
     cfg = write_config(tmp_path, {**tiny_config(corpus_file), "runs": [*finished, aborting]}, "abort.json")
     assert main(["compare", "-c", str(cfg), "-o", str(tmp_path / "aborted")]) == 4
-    assert "non-finite loss" in capsys.readouterr().err
+    assert capsys.readouterr().err.endswith("\nerror: run ode_t2: non-finite loss nan at step 1 (method=ode)\n")
     (aborted,) = run_dirs(tmp_path / "aborted")
-    assert not (aborted / "ode").exists() and not (aborted / "report.csv").exists()
+    # a run's config is written before it trains, as train writes its own
+    assert [p.name for p in (aborted / "ode_t2").iterdir()] == ["config.json"]
+    assert not (aborted / "report.csv").exists()
     cfg = write_config(tmp_path, {**tiny_config(corpus_file), "runs": finished}, "finished.json")
     assert main(["compare", "-c", str(cfg), "-o", str(tmp_path / "finished")]) == 0
     (whole,) = run_dirs(tmp_path / "finished")
     for label in ("rope", "pi"):
         for rel in _SAVED:
             assert (aborted / label / rel).read_bytes() == (whole / label / rel).read_bytes(), (label, rel)
+
+
+def test_compare_run_directory_is_a_train_run_directory(tmp_path, corpus_file):
+    # train and eval take a trained run's <label>/config.json as it is
+    doc = tiny_config(corpus_file)
+    doc["runs"] = [{"method": "rope"}, {"method": "ode", "label": "ode_t2", "t_train": 2.0}]
+    assert main(["compare", "-c", str(write_config(tmp_path, doc)), "-o", str(tmp_path / "compare")]) == 0
+    (compared,) = run_dirs(tmp_path / "compare")
+    run = compared / "ode_t2"
+    assert main(["train", "-c", str(run / "config.json"), "-o", str(tmp_path / "train")]) == 0
+    (trained,) = run_dirs(tmp_path / "train")
+    for label in ("rope", "ode_t2"):
+        assert sorted(p.name for p in (compared / label).iterdir()) == sorted(p.name for p in trained.iterdir())
+    for rel in _SAVED:
+        assert (trained / rel).read_bytes() == (run / rel).read_bytes(), rel
+
+    argv = ["eval", "-c", str(run / "config.json"), "--checkpoint", str(run / "checkpoint")]
+    assert main([*argv, "-o", str(tmp_path / "eval")]) == 0
+    (evaluated,) = run_dirs(tmp_path / "eval")
+
+    def rows(run_dir):
+        return list(csv.reader(io.StringIO((run_dir / "report.csv").read_text())))[1:]
+
+    # every column but method, which eval fills with the method
+    ode_rows = [["ode", *row[1:]] for row in rows(compared) if row[0] == "ode_t2"]
+    assert len(ode_rows) == 2 and ode_rows == rows(evaluated)
+    _, extra = load_checkpoint(run / "checkpoint")
+    assert extra["config_hash"] == cli.config_hash(json.loads((run / "config.json").read_text()))
 
 
 def test_compare_duplicate_labels_exit_2(tmp_path, corpus_file):

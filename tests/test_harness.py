@@ -494,8 +494,11 @@ def test_compare_merges_and_counts(corpus_path, tmp_path):
     assert len(lines) == 1 + 4  # header + runs x lengths
     expected = lines[:1]
     for run in runs:
-        ckpt = compared / run["method"] / "checkpoint"
-        evaluated = run_cli(tmp_path, "eval_" + run["method"], "eval", {**doc, **run}, "--checkpoint", str(ckpt))
+        saved = compared / run["method"]  # a train run directory, config.json included
+        out = tmp_path / f"eval_{run['method']}"
+        argv = ["-c", str(saved / "config.json"), "--checkpoint", str(saved / "checkpoint"), "-o", str(out)]
+        assert main(["eval", *argv]) == 0
+        (evaluated,) = out.iterdir()
         expected += (evaluated / "report.csv").read_text().splitlines()[1:]
     assert lines == expected
     assert [line.split(",")[0] for line in lines[1:]] == ["rope", "rope", "pi", "pi"]
